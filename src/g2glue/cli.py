@@ -81,6 +81,14 @@ def _validate_beta(beta: float):
                           "interval (-4, 0)")
 
 
+def _validate_t(t_values):
+    if len(t_values) < 4:
+        raise ConfigError("the torsion fit needs at least 4 values of t, "
+                          f"got {len(t_values)}")
+    if any(not (0.0 < t <= 0.3) for t in t_values):
+        raise ConfigError(f"t values {t_values} must lie in (0, 0.3]")
+
+
 # ----------------------------------------------------------------------
 # report plumbing
 # ----------------------------------------------------------------------
@@ -332,6 +340,7 @@ def suite_kummer_torsion(t_values, samples: int, beta: float) -> tuple[dict, lis
     from g2glue import kummer
     t0 = time.time()
     _validate_beta(beta)
+    _validate_t(t_values)
     try:
         out = kummer.torsion_decay_fit(t_values, n_samples=samples,
                                        beta=beta, with_gradient=False)
@@ -533,11 +542,6 @@ def run(args) -> tuple[dict, list, str]:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("G2GLUE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

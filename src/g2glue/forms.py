@@ -48,12 +48,9 @@ def sort_index(idx) -> tuple[int, tuple[int, ...]]:
     idx = tuple(idx)
     if len(set(idx)) != len(idx):
         return 0, ()
-    perm = sorted(range(len(idx)), key=lambda i: idx[i])
-    sign = 1
-    seen = list(idx)
     # count inversions
     inv = sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx))
-              if seen[i] > seen[j])
+              if idx[i] > idx[j])
     sign = -1 if inv % 2 else 1
     return sign, tuple(sorted(idx))
 
@@ -291,105 +288,120 @@ def interior_product(v: Vector, a: Form) -> Form:
 
 
 # ----------------------------------------------------------------------
-# metric machinery: batched sub-determinants, Hodge star, inner product
+# metric machinery: one blocked contraction for Hodge star and pullback
 # ----------------------------------------------------------------------
 
-def _subdet(m: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]):
-    """det of the (rows x cols) submatrix of a (*batch, n, n) array, k <= 4
-    hand-expanded (the hot path), larger k via np.linalg.det."""
-    k = len(rows)
-    if k == 0:
-        return np.ones(m.shape[:-2])
-    if k == 1:
-        return m[..., rows[0], cols[0]]
-    a = [[m[..., r, c] for c in cols] for r in rows]
-    if k == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if k == 3:
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-    if k == 4:
-        d = 0.0
-        for j in range(4):
-            sub = [[a[r][c] for c in range(4) if c != j] for r in range(1, 4)]
-            minor = (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-                     - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-                     + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
-            d = d + (-1) ** j * a[0][j] * minor
-        return d
-    sub = m[..., rows, :][..., :, cols]
-    return np.linalg.det(sub)
+# points per block of _lambda_action; bounds its working set at any batch
+_BLOCK = 256
 
 
-def _raise_indices(ginv: np.ndarray, a: Form, g: np.ndarray | None = None,
-                   det_g: np.ndarray | None = None) -> np.ndarray:
-    """Components of a with all p indices raised: a^I = sum_K det(ginv[I,K]) a_K.
+@lru_cache(maxsize=None)
+def _contraction_plan(n: int, p: int):
+    """Signed gathers for contracting the p slots of a form one at a time.
 
-    For p > n/2 with g supplied, the minors of ginv come from Jacobi's
-    complementary-minor identity det(ginv[I,K]) = s * det(g[Kc,Ic])/det(g),
-    which keeps the determinant size at n - p.
+    After j steps the state of one point is T[I, L]: I is the sorted tuple
+    of the j output slots done, L the sorted (p - j)-tuple of input slots
+    left.  Step j expands the last slot k of L with the sign of sorting
+    (L', k), laid out as (k, I, L') so that one matmul by M over k gives
+    the new output slot i first; the rows with i < min(I) are the sorted
+    (j + 1)-tuples.  The state thus stays at n C(n,j) C(n,p-j-1) entries
+    instead of the n^p of the full antisymmetric tensor.
+
+    Returns ((src, sign) per step, final rows).  src indexes the previous
+    state flattened: the coefficients for j = 0, the matmul output after.
     """
-    idx = index_list(a.dim, a.degree)
-    batch = np.broadcast_shapes(a.batch_shape, ginv.shape[:-2])
-    out = np.zeros((len(idx),) + batch)
-    n, p = a.dim, a.degree
-    use_jacobi = g is not None and det_g is not None and p > n - p
-    full = set(range(n))
-    for pi, I in enumerate(idx):
-        acc = 0.0
-        for pk, K in enumerate(idx):
-            if use_jacobi:
-                Ic = tuple(sorted(full - set(I)))
-                Kc = tuple(sorted(full - set(K)))
-                sign = (-1) ** (sum(I) + sum(K))
-                minor = sign * _subdet(g, Kc, Ic) / det_g
-            else:
-                minor = _subdet(ginv, I, K)
-            acc = acc + minor * a.coeffs[pk]
-        out[pi] = acc
-    return out
+    rows_prev = {(): 0}
+    steps = []
+    for j in range(p):
+        pos_left = index_position(n, p - j)
+        done, rest = index_list(n, j), index_list(n, p - j - 1)
+        src = np.zeros((n, len(done), len(rest)), dtype=np.intp)
+        sign = np.zeros(src.shape)
+        for k in range(n):
+            for r, I in enumerate(done):
+                for c, L in enumerate(rest):
+                    s, srt = sort_index(L + (k,))
+                    if s:
+                        src[k, r, c] = rows_prev[I] * len(pos_left) + pos_left[srt]
+                        sign[k, r, c] = s
+        steps.append((src.ravel(), sign.ravel()))
+        rows_prev = {(i,) + I: i * len(done) + r
+                     for r, I in enumerate(done) for i in range(n)
+                     if not I or i < I[0]}
+    final = np.array([rows_prev[I] for I in index_list(n, p)], dtype=np.intp)
+    return tuple(steps), final
 
 
-def inner_product(g: Metric, a: Form, b: Form) -> np.ndarray:
-    """Pointwise <a, b>_g on p-forms (sum over sorted multi-indices)."""
-    a._check_like(b)
-    if g.dim != a.dim:
-        raise ValueError("inner product: dimension mismatch")
-    raised = _raise_indices(g.inverse(), a, g.entries, g.det())
-    return np.einsum("i...,i...->...", raised, b.coeffs)
+def _lambda_action(M: np.ndarray, coeffs: np.ndarray, n: int, p: int):
+    """out_I = sum_K det(M[I, K]) a_K on sorted slots, i.e. the action
+    sum M[i1,k1]..M[ip,kp] a_{k1..kp} of M on every index of a p-form.
+
+    M is (*batch, n, n) and coeffs (C(n,p), *batch), broadcast together;
+    the flattened batch goes through in blocks of _BLOCK points.
+    """
+    batch = np.broadcast_shapes(coeffs.shape[1:], M.shape[:-2])
+    npts = int(np.prod(batch, dtype=np.int64))
+    nc = coeffs.shape[0]
+    a = np.broadcast_to(np.moveaxis(coeffs, 0, -1), batch + (nc,))
+    a = a.reshape(npts, nc)
+    m = np.broadcast_to(M, batch + (n, n)).reshape(npts, n, n)
+    steps, final = _contraction_plan(n, p)
+    out = np.empty((nc, npts))
+    for lo in range(0, npts, _BLOCK):
+        t = a[lo:lo + _BLOCK]
+        mb = m[lo:lo + _BLOCK]
+        for src, sign in steps:
+            t = np.matmul(mb, (t[:, src] * sign).reshape(len(t), n, -1))
+            t = t.reshape(len(t), -1)
+        out[:, lo:lo + _BLOCK] = t[:, final].T
+    return out.reshape((nc,) + batch)
 
 
-def norm(g: Metric, a: Form) -> np.ndarray:
-    return np.sqrt(np.maximum(inner_product(g, a, a), 0.0))
+@lru_cache(maxsize=None)
+def _complement_matrix(n: int, p: int) -> np.ndarray:
+    """Signed permutation Lambda^p -> Lambda^{n-p}: the slot I goes to its
+    complement J with the sign of e^I ^ e^J against e^1 ^ .. ^ e^n."""
+    pos_in = index_position(n, p)
+    out = index_list(n, n - p)
+    P = np.zeros((len(out), len(pos_in)))
+    for po, J in enumerate(out):
+        I = tuple(sorted(set(range(n)) - set(J)))
+        P[po, pos_in[I]] = merge_sign(I, J)
+    return P
 
 
 def hodge_star(g: Metric, a: Form) -> Form:
     """Hodge dual w.r.t. g: a ^ *b = <a,b>_g vol_g.
 
     In odd dimension ** = id on every degree; in general ** = (-1)^{p(n-p)}.
+    For p <= n - p the p indices are raised with g^-1, each slot is placed
+    at its complement and scaled by sqrt(det g); otherwise a is placed
+    first, its n - p indices are lowered with g and the result divided by
+    sqrt(det g) (the tensor form of Jacobi's complementary-minor
+    identity), so at most min(p, n - p) indices are ever contracted.
     """
     if g.dim != a.dim:
         raise ValueError("hodge star: dimension mismatch")
     n, p = a.dim, a.degree
-    ginv = g.inverse()
-    det_g = g.det()
-    sqdet = np.sqrt(det_g)
-    raised = _raise_indices(ginv, a, g.entries, det_g)
-    batch = np.broadcast_shapes(a.batch_shape, g.batch_shape)
-    out = Form.zero(n, n - p, batch)
-    pos_in = index_position(n, p)
-    for po, J in enumerate(index_list(n, n - p)):
-        I = tuple(sorted(set(range(n)) - set(J)))
-        sign = merge_sign(I, J)
-        out.coeffs[po] = sign * sqdet * raised[pos_in[I]]
-    return out
+    place = _complement_matrix(n, p)
+    sqdet = np.sqrt(g.det())
+    if p <= n - p:
+        dual = np.tensordot(place, _lambda_action(g.inverse(), a.coeffs, n, p),
+                            axes=1)
+        dual *= sqdet           # in place: no second batch-sized array
+    else:
+        placed = np.tensordot(place, a.coeffs, axes=1)
+        dual = _lambda_action(g.entries, placed, n, n - p)
+        dual /= sqdet
+    return Form(n, n - p, dual)
 
 
-def volume_form(g: Metric) -> Form:
-    n = g.dim
-    return Form(n, n, np.sqrt(g.det())[None] if g.batch_shape
-                else np.array([np.sqrt(g.det())]))
+def inner_product(g: Metric, a: Form, b: Form) -> np.ndarray:
+    """Pointwise <a, b>_g on p-forms, from <a, b>_g vol_g = a ^ *b."""
+    a._check_like(b)
+    if g.dim != a.dim:
+        raise ValueError("inner product: dimension mismatch")
+    return wedge(a, hodge_star(g, b)).coeffs[0] / np.sqrt(g.det())
 
 
 # ----------------------------------------------------------------------
@@ -402,13 +414,7 @@ def pullback(A: np.ndarray, a: Form) -> Form:
     n, p = a.dim, a.degree
     if A.shape[-2:] != (n, n):
         raise ValueError("pullback: matrix shape mismatch")
-    out = Form.zero(n, p, np.broadcast_shapes(a.batch_shape, A.shape[:-2]))
-    for po, J in enumerate(index_list(n, p)):
-        acc = 0.0
-        for pi, I in enumerate(index_list(n, p)):
-            acc = acc + _subdet(A, I, J) * a.coeffs[pi]
-        out.coeffs[po] = acc
-    return out
+    return Form(n, p, _lambda_action(np.swapaxes(A, -1, -2), a.coeffs, n, p))
 
 
 # ----------------------------------------------------------------------

@@ -35,8 +35,8 @@ import struct
 import numpy as np
 
 from .forms import (Form, Metric, PositivityError, hodge_star, index_list,
-                    index_position, merge_sign, metric_from_g2, phi0,
-                    star_phi0, theta)
+                    index_position, inner_product, merge_sign, metric_from_g2,
+                    phi0, star_phi0, theta, theta_split, wedge)
 
 __all__ = [
     "GridField", "SolverConfig", "SpectralOps", "derivative_ops",
@@ -214,15 +214,11 @@ def derivative_ops(N: int) -> SpectralOps:
 # the exact flat-background linearization
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _star0_matrix(p: int) -> np.ndarray:
     """Euclidean Hodge star on degree p as a signed permutation matrix."""
-    n_in = index_list(7, p)
-    pos_out = index_position(7, 7 - p)
-    M = np.zeros((len(index_list(7, 7 - p)), len(n_in)))
-    for pi, I in enumerate(n_in):
-        J = tuple(sorted(set(range(7)) - set(I)))
-        M[pos_out[J], pi] = merge_sign(I, J)
-    return M
+    basis = Form(7, p, np.eye(len(index_list(7, p))))
+    return hodge_star(Metric.euclidean(7), basis).coeffs
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +229,6 @@ def flat_p_matrix() -> np.ndarray:
     pi1 = np.outer(p0, p0) / 7.0
     star3 = _star0_matrix(4)        # 4-forms -> 3-forms
     pi7 = np.zeros((35, 35))
-    from .forms import wedge, Form
     for i in range(7):
         ei_phi = wedge(Form.basis(7, (i,)), phi0())      # e^i ^ phi0
         q = star3 @ ei_phi.coeffs                        # *(e^i ^ phi0)
@@ -274,11 +269,16 @@ def _symbol_factorization(N: int):
             inv_w.reshape(mshape + (21,)))
 
 
+def _apply_symbol(N: int, field: GridField, weights: np.ndarray) -> np.ndarray:
+    """V diag(weights) V^T applied mode by mode to the spectrum of a 2-form
+    field; weights holds one value per symbol eigenvector and mode."""
+    V, _ = _symbol_factorization(N)
+    proj = np.einsum("...ji,j...->...i", V, field.spectral)
+    return np.einsum("...ij,...j->i...", V, weights * proj)
+
+
 def _apply_symbol_pinv(N: int, field: GridField) -> GridField:
-    V, inv_w = _symbol_factorization(N)
-    spec = field.spectral
-    proj = np.einsum("...ji,j...->...i", V, spec)
-    out = np.einsum("...ij,...j->i...", V, inv_w * proj)
+    out = _apply_symbol(N, field, _symbol_factorization(N)[1])
     out[tuple([slice(None)] + [0] * 7)] = 0.0
     return GridField.from_spectral(2, out, N)
 
@@ -286,13 +286,9 @@ def _apply_symbol_pinv(N: int, field: GridField) -> GridField:
 def _apply_kernel_projector(N: int, field: GridField) -> GridField:
     """Project a 2-form field onto the mode-wise kernel of the symbol
     (d-closed plus diffeomorphism-gauge directions)."""
-    V, inv_w = _symbol_factorization(N)
-    kept = (inv_w != 0.0).astype(float)
-    spec = field.spectral
-    proj = np.einsum("...ji,j...->...i", V, spec)
-    in_range = np.einsum("...ij,...j->i...", V, kept * proj)
-    out = spec - in_range
-    return GridField.from_spectral(2, out, N)
+    kept = _symbol_factorization(N)[1] != 0.0
+    return GridField.from_spectral(
+        2, field.spectral - _apply_symbol(N, field, kept), N)
 
 
 def _apply_matrix(M: np.ndarray, field: GridField, degree_out: int) -> GridField:
@@ -413,11 +409,10 @@ def picard_step(phi: GridField, psi: GridField, eta: GridField,
         phi_form = phi.as_form()
         deta = ops.d(eta)
         # f from the pi_1 projection: f phi = (7/3) pi_1(d eta)
-        from .forms import inner_product
         f_scalar = (1.0 / 3.0) * inner_product(g, deta.as_form(), phi_form)
         f_psi = GridField(3, f_scalar[None] * psi.coeffs)
-        T_chi, F_chi = _curved_split(phi, deta)
-        star_F = GridField(3, hodge_star(g, F_chi.as_form()).coeffs)
+        _, F_chi = theta_split(phi_form, deta.as_form())
+        star_F = GridField(3, hodge_star(g, F_chi).coeffs)
         source = psi + f_psi + star_F
         sigma_rhs = ops.delta(source)
         return ops.mean_zero(ops.inv_laplacian(sigma_rhs, project=True))
@@ -428,25 +423,6 @@ def _coexact_potential_of_exact3(ops: SpectralOps, w3: GridField) -> GridField:
     """The coexact 2-form sigma with d sigma = w3, for an exact mean-zero
     3-form: sigma = delta Lap^-1 w3."""
     return ops.delta(ops.inv_laplacian(w3, project=True))
-
-
-def _curved_split(phi: GridField, chi: GridField, h: float = 1e-3):
-    """T and F of the split at a non-constant base phi, by central
-    differences with one Richardson level (the curved-mode workhorse)."""
-    base = phi.as_form()
-    direction = chi.as_form()
-
-    def dtheta(step):
-        plus = theta(Form(7, 3, base.coeffs + step * direction.coeffs))
-        minus = theta(Form(7, 3, base.coeffs - step * direction.coeffs))
-        return (plus.coeffs - minus.coeffs) / (2.0 * step)
-
-    d1 = dtheta(h)
-    d2 = dtheta(h / 2)
-    T = -((4.0 / 3.0) * d2 - (1.0 / 3.0) * d1)
-    theta_full = theta(Form(7, 3, base.coeffs + direction.coeffs))
-    F = theta(base).coeffs - T - theta_full.coeffs
-    return GridField(4, T), GridField(4, F)
 
 
 def residual(phi_tilde: GridField) -> float:

@@ -122,6 +122,15 @@ def test_beta_domain_rejected():
     assert code == 2
 
 
+def test_t_domain_rejected(capsys):
+    # too few values of t, then a t outside (0, 0.3]: both are
+    # configuration errors, refused before the fit
+    for t in ("0.2,0.1", "0.5,0.1,0.05,0.025"):
+        assert run_cli(["kummer", "torsion", "--t", t,
+                        "--samples", "100"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
 def test_io_error_exit_code(tmp_path):
     code = run_cli(["kummer", "fixed-points", "--out",
                     str(tmp_path / "missing" / "deep" / "x.json")])

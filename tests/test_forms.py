@@ -1,7 +1,11 @@
 """Tests for the exterior algebra and the G2 nonlinear maps."""
 
+from itertools import combinations, permutations
+from math import factorial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2glue import forms as F
 from g2glue.forms import Form, Metric, Vector
@@ -18,6 +22,55 @@ def random_form(dim, degree, scale=1.0):
 def random_spd_metric(dim):
     A = RNG.normal(size=(dim, dim))
     return Metric(dim, A @ A.T + dim * np.eye(dim))
+
+
+# ----------------------------------------------------------------------
+# full-tensor reference, independent of the sorted-slot kernel in forms
+# ----------------------------------------------------------------------
+
+def perm_sign(seq):
+    seq = list(seq)
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
+def full_tensor(coeffs, n, p):
+    """The antisymmetric n^p array with a_{sigma(I)} = sign(sigma) a_I."""
+    T = np.zeros((n,) * p)
+    for a, I in zip(coeffs, combinations(range(n), p)):
+        for perm in permutations(range(p)):
+            T[tuple(I[k] for k in perm)] = perm_sign(perm) * a
+    return T
+
+
+def contract_all(M, T):
+    """M[i1,k1] .. M[ip,kp] T[k1..kp], one index at a time with einsum."""
+    for axis in range(T.ndim):
+        T = np.moveaxis(T, axis, 0)
+        T = np.moveaxis(np.einsum("ik,k...->i...", M, T), 0, axis)
+    return T
+
+
+def ref_inner(g, a, b, n, p):
+    """<a, b>_g = A_{i..} B_{j..} g^{ij} .. / p! at one point."""
+    raised = contract_all(np.linalg.inv(g), full_tensor(b, n, p))
+    return float(np.sum(full_tensor(a, n, p) * raised)) / factorial(p)
+
+
+def ref_star(g, b, n, p):
+    """(*b)_J = sign(I, J) sqrt(det g) B^I with I the complement of J."""
+    raised = contract_all(np.linalg.inv(g), full_tensor(b, n, p))
+    out = []
+    for J in combinations(range(n), n - p):
+        I = tuple(i for i in range(n) if i not in J)
+        out.append(perm_sign(I + J) * np.sqrt(np.linalg.det(g)) * raised[I])
+    return np.array(out)
+
+
+def ref_pullback(A, a, n, p):
+    pulled = contract_all(A.T, full_tensor(a, n, p))
+    return np.array([pulled[I] for I in combinations(range(n), p)])
 
 
 # ----------------------------------------------------------------------
@@ -105,12 +158,15 @@ def test_star_star_identity_all_degrees():
 
 
 def test_star_inner_product_compatibility():
+    # inner_product and a ^ *a both checked against the full-tensor
+    # contraction, which shares no code with forms
     g = random_spd_metric(7)
-    for p in (1, 2, 3):
-        a = random_form(7, p)
-        pairing = F.wedge(a, F.hodge_star(g, a)).coeffs[0]
-        expected = F.inner_product(g, a, a) * np.sqrt(g.det())
-        assert np.isclose(pairing, expected, rtol=1e-11)
+    for p in (1, 2, 3, 4, 5):
+        a, b = random_form(7, p), random_form(7, p)
+        expected = ref_inner(g.entries, a.coeffs, b.coeffs, 7, p)
+        assert np.isclose(F.inner_product(g, a, b), expected, rtol=1e-11)
+        pairing = F.wedge(a, F.hodge_star(g, b)).coeffs[0]
+        assert np.isclose(pairing, expected * np.sqrt(g.det()), rtol=1e-11)
 
 
 def test_star_conformal_scaling():
@@ -142,6 +198,92 @@ def test_star_product_g2_structure():
     for i, (j, k) in enumerate(pairs):
         expect = expect - F.wedge(om[i], F.wedge(dx[j], dx[k]))
     assert np.abs(dual.coeffs - expect.coeffs).max() < 1e-12
+
+
+# ----------------------------------------------------------------------
+# properties over random SPD metrics; the batch shapes (257,) and (3, 100)
+# span more than one block of the kernel, with a ragged last block
+# ----------------------------------------------------------------------
+
+DEGREES = [(n, p) for n in (4, 7) for p in range(n + 1)]
+BATCHES = [(), (257,), (3, 100)]
+# points checked against the full-tensor reference: both sides of the
+# first block edge and the last point
+SAMPLED = (0, 255, 256, -1)
+PROPERTY = settings(max_examples=4, deadline=None)
+
+
+def random_batch(rng, n, p, batch, shift):
+    A = rng.normal(size=batch + (n, n))
+    g = A @ np.swapaxes(A, -1, -2) + shift * np.eye(n)
+    coeffs = rng.normal(size=(len(F.index_list(n, p)),) + batch)
+    return Metric(n, g), Form(n, p, coeffs)
+
+
+def sampled(batch):
+    npts = int(np.prod(batch, dtype=int))
+    return sorted({k % npts for k in SAMPLED})
+
+
+@pytest.mark.parametrize("n,p", DEGREES)
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(0.2, 5.0))
+def test_star_matches_full_tensor_reference(n, p, seed, shift):
+    rng = np.random.default_rng(seed)
+    for batch in BATCHES:
+        g, b = random_batch(rng, n, p, batch, shift)
+        got = F.hodge_star(g, b).coeffs
+        got = got.reshape(got.shape[0], -1)
+        mets = g.entries.reshape(-1, n, n)
+        pts = b.coeffs.reshape(len(b.indices), -1)
+        for k in sampled(batch):
+            ref = ref_star(mets[k], pts[:, k], n, p)
+            assert np.abs(got[:, k] - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,p", DEGREES)
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(0.2, 5.0))
+def test_star_star_sign(n, p, seed, shift):
+    rng = np.random.default_rng(seed)
+    for batch in BATCHES:
+        g, a = random_batch(rng, n, p, batch, shift)
+        ss = F.hodge_star(g, F.hodge_star(g, a)).coeffs
+        sign = (-1) ** (p * (n - p))
+        err = np.abs(ss - sign * a.coeffs).max()
+        assert err <= 1e-10 * np.abs(a.coeffs).max()
+
+
+@pytest.mark.parametrize("n,p", DEGREES)
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pullback_composition(n, p, seed):
+    # (AB)^* = B^* A^*, and A^* against the full-tensor reference
+    rng = np.random.default_rng(seed)
+    for batch in BATCHES:
+        A = rng.normal(size=batch + (n, n))
+        B = rng.normal(size=batch + (n, n))
+        a = Form(n, p, rng.normal(size=(len(F.index_list(n, p)),) + batch))
+        lhs = F.pullback(A @ B, a).coeffs
+        rhs = F.pullback(B, F.pullback(A, a)).coeffs
+        assert np.abs(lhs - rhs).max() <= 1e-10 * max(np.abs(lhs).max(), 1.0)
+        got = F.pullback(A, a).coeffs.reshape(len(a.indices), -1)
+        mats = A.reshape(-1, n, n)
+        pts = a.coeffs.reshape(len(a.indices), -1)
+        for k in sampled(batch):
+            ref = ref_pullback(mats[k], pts[:, k], n, p)
+            assert np.abs(got[:, k] - ref).max() <= 1e-10 * max(
+                np.abs(ref).max(), 1.0)
+
+
+def test_inner_product_broadcasts_one_metric_over_a_batch():
+    g = random_spd_metric(7)
+    a = Form(7, 3, RNG.normal(size=(35, 4)))
+    b = Form(7, 3, RNG.normal(size=(35, 4)))
+    got = F.inner_product(g, a, b)
+    for k in range(4):
+        assert np.isclose(got[k], ref_inner(g.entries, a.coeffs[:, k],
+                                            b.coeffs[:, k], 7, 3), rtol=1e-11)
 
 
 # ----------------------------------------------------------------------
