@@ -216,6 +216,8 @@ def suite_eh_verify(samples: int, seed: int) -> tuple[dict, list]:
 def suite_eh_decay(k_values, out_rows: bool = True) -> tuple[dict, list]:
     from g2glue import eguchi_hanson as eh
     t0 = time.time()
+    if any(not (0.0 < k <= 1.0) for k in k_values):
+        raise ConfigError(f"k values {k_values} must lie in (0, 1]")
     rr = np.geomspace(1.01, 1e4, 2000)
     checks, rows = [], []
     for k in k_values:
@@ -371,9 +373,19 @@ def suite_torus_solve(n: int, eps: float, seed: int, tol: float,
     mode_name = {"flat": "flat-background", "cg": "curved-cg"}.get(mode)
     if mode_name is None:
         raise ConfigError(f"unknown mode '{mode}'")
-    cfg = torus.SolverConfig(N=n, eps=eps, seed=seed, tol_residual=tol,
-                             max_iter=max_iter, operator_mode=mode_name)
-    eta, report = torus.solve(cfg)
+    try:
+        cfg = torus.SolverConfig(N=n, eps=eps, seed=seed, tol_residual=tol,
+                                 max_iter=max_iter, operator_mode=mode_name)
+        eta, report = torus.solve(cfg)
+    except (ValueError, torus.GridTooLargeError) as exc:
+        # a grid size or max_iter outside the solver's domain, an eps that
+        # puts phi outside the G2 cone (PositivityError), or a grid that
+        # cannot fit in memory
+        raise ConfigError(str(exc)) from exc
+    except RuntimeError as exc:
+        checks = [_passfail("converged", False, str(exc),
+                            f"step <= {tol:g}", tol, "iteration-count")]
+        return assemble_report("torus-solve", checks, t0), []
     if dump:
         torus.save_field(dump, eta)
     checks = [

@@ -167,12 +167,6 @@ class LinkPairData:
     def eigenvalue(self) -> Fraction:
         return self.c_da * self.c_db
 
-    def validate(self):
-        # Hodge consistency: Delta alpha = d* d alpha = c_da c_db alpha and
-        # Delta beta = d d* beta = c_db c_da beta agree automatically; an
-        # inconsistent override is rejected by the caller.
-        return True
-
 
 def cone_laplacian_apply(lam, k: int, n: int, j: int, pair: LinkPairData,
                          delta_alpha=None, delta_beta=None):
@@ -338,7 +332,6 @@ def log_kernel_check(lam, p: int, link: LinkSpectrum | None = None,
     else:
         for rate in rates:
             if rate.case in ("ii", "iii"):
-                a, b, q, kind = _case_parameters(p, n)[rate.case]
                 if rate.case == "iii":
                     pairs.append((_case_iii_pair(lam, p, n), rate.case))
                 else:
@@ -557,7 +550,8 @@ def s3_function_spectrum_check(m: int) -> dict:
     radial = 4 * a * (a + 1)            # m(m-2)
     cross = Fraction(-2 * m * m)
     eigen = -(radial + cross)           # m(m+2), sign-flipped to Hodge
-    assert eigen == Fraction(m * (m + 2))
+    if eigen != m * (m + 2):
+        raise RuntimeError(f"radial calculus gave {eigen}, not m(m+2)")
     parity_poly = sp.expand(p.subs(dict(zip(_X, [-x for x in _X]))) -
                             (-1) ** m * p)
     parity_ok = parity_poly == 0

@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from .forms import Form, Metric, hodge_star, merge_sign
 
 __all__ = [
-    "R", "K", "f_sym", "RadialForm", "EHChart",
+    "R", "K", "f_sym", "RadialForm",
     "hyperkaehler_triple", "harmonic_forms", "asd_triple",
     "radial_distance", "radial_distance_many", "sphere_geometry",
     "ale_decay_ratio", "scaling_pullback_check",
@@ -247,20 +247,6 @@ def eh_metric_coefficients(k_val, r):
     r = np.asarray(r, dtype=float)
     f2 = np.sqrt(k_val + r ** 2)
     return np.stack([1.0 / f2, r ** 2 / f2, f2, f2])
-
-
-@dataclass(frozen=True)
-class EHChart:
-    """Evaluation context: family parameter k plus the coframe conventions."""
-    k: float
-    left_sign: int = 1
-    right_sign: int = -1
-
-    def f(self, r):
-        return (self.k + np.asarray(r, dtype=float) ** 2) ** 0.25
-
-    def distance(self, r):
-        return radial_distance(self.k, r)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from g2glue import cli
+from g2glue import kummer
+from g2glue import torus
 
 
 def run_cli(argv):
@@ -135,3 +137,47 @@ def test_io_error_exit_code(tmp_path):
     code = run_cli(["kummer", "fixed-points", "--out",
                     str(tmp_path / "missing" / "deep" / "x.json")])
     assert code == 3
+
+
+def test_torus_grid_size_rejected(capsys):
+    assert run_cli(["torus", "solve", "--n", "5"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_torus_eps_outside_cone_rejected(capsys):
+    assert run_cli(["torus", "solve", "--n", "4", "--eps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "G2 cone" in err
+
+
+def test_eh_decay_k_domain_rejected(capsys):
+    assert run_cli(["eh", "decay", "--k", "5"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_torus_non_convergence_reports_failure(tmp_path):
+    out = tmp_path / "t.json"
+    code = run_cli(["torus", "solve", "--n", "4", "--max-iter", "1",
+                    "--out", str(out)])
+    assert code == 1
+    rep = load(out)
+    assert rep["n_fail"] == 1
+    (check,) = rep["checks"]
+    assert check["name"] == "converged" and check["status"] == "fail"
+    assert "max_iter = 1" in check["measured"]
+
+
+def test_torus_grid_too_large_for_memory_rejected(monkeypatch, capsys):
+    monkeypatch.setattr(torus, "_mem_available", lambda: 2 ** 20)
+    assert run_cli(["torus", "solve", "--n", "4"]) == 2
+    assert "GiB available" in capsys.readouterr().err
+
+
+def test_fixed_points_orbit_size_is_measured(monkeypatch):
+    # a "subgroup" holding the generator itself fixes each of its tori:
+    # orbits of length 1, which the orbit-size check must report
+    monkeypatch.setattr(
+        kummer, "_subgroup_without",
+        lambda elements, g: [e for e in elements if e.name in ("", g)])
+    assert kummer.singular_components()["orbit_size"] == 1
+    assert run_cli(["kummer", "fixed-points"]) == 1

@@ -67,6 +67,13 @@ def test_singular_components():
     assert KM.singular_components(b2_torus_quotient=3)["kernel_dimension"] == 15
 
 
+def test_group_closure_failure_raises(monkeypatch):
+    # a real exception, not an assert that python -O strips
+    monkeypatch.setattr(KM, "GAMMA", KM.ALPHA)
+    with pytest.raises(RuntimeError, match="group closure failed"):
+        KM.gamma_elements()
+
+
 # ----------------------------------------------------------------------
 # the glued structure
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ criterion lives in test_acceptance.py.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2glue import forms as F
 from g2glue import torus as T
@@ -121,6 +122,110 @@ def test_flat_p_matrix_spectrum():
 
 
 # ----------------------------------------------------------------------
+# the symbol A = delta0 P0 d and its pseudo-inverse
+# ----------------------------------------------------------------------
+
+def symbol_matrix(m):
+    """Reference: the explicit 21x21 symbol 4 pi^2 W^T P0 W at real modes
+    m of shape (..., 7), with W (W[po, pi] = sign m_a) the matrix of
+    (m ^ .) on 2-forms, assembled entry by entry and multiplied out."""
+    m = np.asarray(m, dtype=float)
+    W = np.zeros(m.shape[:-1] + (35, 21))
+    for a, pi, po, sign in T._d_table(2):
+        W[..., po, pi] += sign * m[..., a]
+    return 4 * np.pi ** 2 * np.swapaxes(W, -1, -2) @ T.flat_p_matrix() @ W
+
+
+def grid_modes():
+    """Every mode of the N^7 half-spectrum as rows of m, (n_modes, 7)."""
+    ops = T.derivative_ops(N)
+    shape = np.broadcast_shapes(*[m.shape for m in ops.m])
+    return np.stack([np.broadcast_to(m, shape).ravel() for m in ops.m],
+                    axis=-1)
+
+
+def per_mode(M, spec):
+    """Apply a stack of per-mode matrices (n_modes, 21, 21) to a spectrum
+    of shape (21,) + mode grid."""
+    flat = spec.reshape(21, -1).T[..., None]
+    return (M @ flat)[..., 0].T.reshape(spec.shape)
+
+
+def apply_A(spec):
+    return T._apply_symbol(T.derivative_ops(N), spec)
+
+
+def apply_pinv(spec):
+    return T._apply_symbol_pinv(
+        N, T.GridField.from_spectral(2, spec, N)).spectral
+
+
+def apply_kernel(spec):
+    return T._apply_kernel_projector(
+        N, T.GridField.from_spectral(2, spec, N)).spectral
+
+
+def random_spectrum(seed):
+    return random_field(2, seed=seed, mean_zero=False).spectral
+
+
+def test_pinv_and_kernel_projector_match_per_mode_pinv():
+    # every mode of the N = 4 grid, the Nyquist planes included
+    modes = grid_modes()
+    A = symbol_matrix(modes)
+    A_pinv = np.linalg.pinv(A, rtol=1e-10, hermitian=True)
+    x = random_spectrum(31)
+    scale = np.abs(x).max()
+    assert np.abs(apply_A(x) - per_mode(A, x)).max() < 1e-9 * scale
+    ref = per_mode(A_pinv, x)
+    assert np.abs(ref).max() > 1e-3 * scale           # not vacuous
+    assert np.abs(apply_pinv(x) - ref).max() < 1e-12 * scale
+    kernel = x - per_mode(A_pinv @ A, x)
+    assert np.abs(apply_kernel(x) - kernel).max() < 1e-12 * scale
+    # the symbol has rank 8 at every nonzero mode and vanishes at m = 0
+    ranks = np.linalg.matrix_rank(A, rtol=1e-10, hermitian=True)
+    zero = np.all(modes == 0, axis=-1)
+    assert np.all(ranks[zero] == 0) and np.all(ranks[~zero] == 8)
+
+
+def test_pinv_penrose_identities():
+    x, y = random_spectrum(32), random_spectrum(33)
+    scale = np.abs(apply_A(x)).max()
+    AP = lambda s: apply_A(apply_pinv(s))
+    PA = lambda s: apply_pinv(apply_A(s))
+    assert np.abs(apply_A(PA(x)) - apply_A(x)).max() < 1e-12 * scale
+    assert np.abs(apply_pinv(AP(x)) - apply_pinv(x)).max() < \
+        1e-12 * np.abs(apply_pinv(x)).max()
+    # A P and P A are symmetric: mode-wise <y, M x> = <M y, x>
+    for M in (AP, PA):
+        lhs = np.vdot(y, M(x))
+        rhs = np.vdot(M(y), x)
+        assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+
+
+def test_kernel_projector_is_idempotent_and_annihilated_by_A():
+    x = random_spectrum(34)
+    k = apply_kernel(x)
+    scale = np.abs(x).max()
+    assert np.abs(apply_kernel(k) - k).max() < 1e-12 * scale
+    assert np.abs(apply_A(k)).max() < 1e-10 * np.abs(apply_A(x)).max()
+    # the zero mode lies in the kernel: the projector keeps it
+    zero = (slice(None),) + (0,) * 7
+    assert np.array_equal(k[zero], x[zero])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-6.0, 6.0), min_size=7, max_size=7))
+def test_symbol_squares_to_minus_laplacian_times_symbol(m):
+    # P0 has spectrum {4/3, 1, -1}, so A(m)^2 = -4 pi^2 |m|^2 A(m) for
+    # every real m, not only lattice modes
+    A = symbol_matrix(m)
+    lap = 4 * np.pi ** 2 * float(np.dot(m, m))
+    scale = max(lap, 1e-300) ** 2
+    assert np.abs(A @ A + lap * A).max() <= 1e-12 * scale
+
+
+# ----------------------------------------------------------------------
 # model problem
 # ----------------------------------------------------------------------
 
@@ -147,6 +252,27 @@ def test_model_psi_scales_linearly():
         _, psi, _ = T.make_model_problem(cfg)
         ratios.append(psi.linf() / cfg.eps)
     assert max(ratios) / min(ratios) < 2.0
+
+
+class Allocated(Exception):
+    pass
+
+
+def test_grid_refused_before_allocation(monkeypatch):
+    # derivative_ops is the first step of make_model_problem that
+    # allocates grid arrays; a refused grid must never reach it
+    def reached(N):
+        raise Allocated(N)
+    monkeypatch.setattr(T, "derivative_ops", reached)
+    monkeypatch.setattr(T, "_mem_available", lambda: int(7.3 * 2 ** 30))
+    with pytest.raises(T.GridTooLargeError, match="N = 8"):
+        T.make_model_problem(T.SolverConfig(N=8))
+    with pytest.raises(Allocated):
+        T.make_model_problem(T.SolverConfig(N=6))
+    # where MemAvailable cannot be read, nothing is refused
+    monkeypatch.setattr(T, "_mem_available", lambda: None)
+    with pytest.raises(Allocated):
+        T.make_model_problem(T.SolverConfig(N=8))
 
 
 def test_model_rejects_large_eps():
