@@ -414,16 +414,12 @@ def order_minus2_basis():
 
 def _interior_position(omega: dict) -> dict:
     """mu = V -| omega for the position field V = sum x_i d/dx_i."""
-    out = {}
-    for (i, j), c in omega.items():
-        out[i] = sp.expand(out.get(i, 0) + c * (-_X[j]))
-        out[j] = sp.expand(out.get(j, 0) + c * _X[i])
     # (V -| dx_i ^ dx_j) = x_i dx_j - x_j dx_i
-    fixed = {}
+    mu = {}
     for (i, j), c in omega.items():
-        fixed[j] = sp.expand(fixed.get(j, 0) + c * _X[i])
-        fixed[i] = sp.expand(fixed.get(i, 0) - c * _X[j])
-    return fixed
+        mu[j] = sp.expand(mu.get(j, 0) + c * _X[i])
+        mu[i] = sp.expand(mu.get(i, 0) - c * _X[j])
+    return mu
 
 
 def decaying_pair_forms():
@@ -468,18 +464,18 @@ def _homogeneity_order(form: dict):
     return order
 
 
-def harmonic_oracle_r4(candidate: dict, require_homogeneous: bool = True):
+def harmonic_oracle_r4(candidate: dict):
     """Componentwise Hodge-Laplacian residual of a 2-form on R^4 \\ {0}
     by exact symbolic differentiation.
 
     Returns {"residual": float, "order": sympy number, "closed": bool,
     "coclosed": bool}.  residual is 0.0 exactly when every component of
     sum_i d^2/dx_i^2 simplifies to zero.  Raises for inhomogeneous
-    candidates unless require_homogeneous=False.
+    candidates.
     """
     form = _two_form(candidate)
     order = _homogeneity_order(form)
-    if require_homogeneous and order is None:
+    if order is None:
         raise ValueError("candidate is not homogeneous of a single order")
 
     residual = 0.0

@@ -192,11 +192,6 @@ class RadialForm:
             out[mono] = fac * c.subs(R, lam2 * R)
         return RadialForm(self.degree, out, self.frame)
 
-    def simplify(self) -> "RadialForm":
-        return RadialForm(self.degree,
-                          {m: sp.simplify(c) for m, c in self.coeffs.items()},
-                          self.frame)
-
     def is_zero(self) -> bool:
         return all(sp.simplify(c) == 0 for c in self.coeffs.values())
 

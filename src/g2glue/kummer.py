@@ -442,6 +442,8 @@ def torsion_decay_fit(t_list, n_samples: int = 2000, beta: float = -0.05,
         raise ValueError("need at least 4 values of t")
     if any(not (0 < t <= 0.3) for t in t_list):
         raise ValueError("t values must lie in (0, 0.3]")
+    if n_samples < 1:
+        raise ValueError("need at least 1 sample on the annulus")
     rows = []
     for t in t_list:
         chart = GluingChart(t)

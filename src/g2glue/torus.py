@@ -312,6 +312,8 @@ class SolverConfig:
             raise ValueError("N must be 4, 6, or 8")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if not self.tol_residual > 0:
+            raise ValueError("tol_residual must be positive")
         if self.operator_mode not in ("flat-background", "curved-cg"):
             raise ValueError("unknown operator mode")
 

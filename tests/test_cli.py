@@ -181,3 +181,74 @@ def test_fixed_points_orbit_size_is_measured(monkeypatch):
         lambda elements, g: [e for e in elements if e.name in ("", g)])
     assert kummer.singular_components()["orbit_size"] == 1
     assert run_cli(["kummer", "fixed-points"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "rates", "--from=abc"],
+    ["rates", "jk", "--B=1/0"],
+    ["cone", "rates", "--degree", "9"],
+    ["cone", "rates", "--degree=-1"],
+    ["cone", "rates", "--from=0", "--to=-1"],
+    ["cone", "rates", "--from=-1000", "--to=0"],
+    ["cone", "index", "--degree", "2", "--from=-2", "--to=-1"],
+    ["kummer", "torsion", "--samples", "0"],
+    ["torus", "solve", "--tol=-1"],
+], ids=["rational-not-a-number", "rational-zero-denominator",
+        "degree-above-4", "degree-negative", "empty-rate-interval",
+        "beyond-link-tables", "critical-endpoint", "no-samples",
+        "negative-tol"])
+def test_invalid_input_rejected(argv, capsys):
+    assert run_cli(argv) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_bad_config_value_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[torus]\nn = six\n")
+    assert run_cli(["torus", "solve", "--config", str(cfg)]) == 2
+    assert "bad value 'six'" in capsys.readouterr().err
+
+
+def test_csv_only_where_rows_exist(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["cone", "oracle", "--csv", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+def test_torus_cg_checks_apply_their_tolerance(monkeypatch, tmp_path):
+    # a cg solve whose distance to phi0 is above the gauge floor must fail
+    # the distance check, with the bounds applied reported as tolerances
+    report = {"iterations": 3, "residual": 5e-6, "distance_to_flat": 2e-6,
+              "zero_mode_gap": 0.0, "contraction_factors": [0.1]}
+    monkeypatch.setattr(torus, "solve", lambda cfg: (None, report))
+    out = tmp_path / "t.json"
+    assert run_cli(["torus", "solve", "--n", "4", "--mode", "cg",
+                    "--out", str(out)]) == 1
+    by_name = {c["name"]: c for c in load(out)["checks"]}
+    assert by_name["torsion-residual"]["status"] == "pass"
+    assert by_name["torsion-residual"]["tolerance"] == 1e-4
+    assert by_name["distance-to-flat"]["status"] == "fail"
+    assert by_name["distance-to-flat"]["tolerance"] == 1e-6
+
+
+def test_all_concatenates_suite_checks(monkeypatch, tmp_path):
+    names = ["suite_kummer_fixed_points", "suite_eh_verify",
+             "suite_eh_decay", "suite_cone_oracle", "suite_rates_jk",
+             "suite_kummer_torsion", "suite_torus_solve"]
+    calls = []
+
+    def fake(name):
+        def suite(*args, **kwargs):
+            calls.append(name)
+            return [{"name": f"{name}-{len(calls)}", "status": "pass"}], []
+        return suite
+
+    for name in names:
+        monkeypatch.setattr(cli, name, fake(name))
+    out = tmp_path / "all.json"
+    assert run_cli(["all", "--fast", "--out", str(out)]) == 0
+    rep = load(out)
+    assert rep["suite"] == "all"
+    assert calls == names[:5] + ["suite_rates_jk"] + names[5:]
+    assert [c["name"] for c in rep["checks"]] == [
+        f"{name}-{i}" for i, name in enumerate(calls, 1)]

@@ -1,0 +1,18 @@
+"""Source-level rules for the g2glue package."""
+
+import ast
+from pathlib import Path
+
+import g2glue
+
+PACKAGE = Path(g2glue.__file__).parent
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so a check written as one
+    # would silently stop checking
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
