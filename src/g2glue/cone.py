@@ -3,15 +3,16 @@ harmonic forms, critical rates, log-kernel checks, index jumps, an
 independent Cartesian oracle on R^4 \\ {0}, and the exact weighted-exponent
 rate calculator for the two-scale gluing tables.
 
-Everything in this module is exact integer/Fraction arithmetic except the
-oracle residual, which is exact symbolic differentiation reported as a
-float.  Link spectra are explicit data tables generated from the classical
-S^3 decomposition (functions: eigenvalue m(m+2), multiplicity (m+1)^2,
-parity (-1)^m; coexact 1-forms: eigenvalue (m+1)^2, multiplicity 2m(m+2),
-parity (-1)^{m+1}); the SO(3) tables are their even-parity subsets.  The
-function entries are re-verified independently by polynomial algebra in
-s3_function_spectrum_check, and the multiplicity-six entry at eigenvalue 4
-is corroborated by the six explicit harmonic 2-forms of the oracle.
+Everything in this module is exact integer/Fraction arithmetic, or, in
+the oracle, polynomial arithmetic over QQ on components P |x|^(-2a); only
+the oracle residual is reported as a float.  Link spectra are explicit
+data tables generated from the classical S^3 decomposition (functions:
+eigenvalue m(m+2), multiplicity (m+1)^2, parity (-1)^m; coexact 1-forms:
+eigenvalue (m+1)^2, multiplicity 2m(m+2), parity (-1)^{m+1}); the SO(3)
+tables are their even-parity subsets.  s3_function_spectrum_check computes
+the function eigenvalues from the seed polynomials with the oracle's
+Laplacian, and the multiplicity-six entry at eigenvalue 4 is corroborated
+by the six explicit harmonic 2-forms of the oracle.
 """
 
 from __future__ import annotations
@@ -377,8 +378,6 @@ def index_change(p: int, lam1, lam2, link: LinkSpectrum | None = None,
 _X = sp.symbols("x1:5", real=True)
 _S = sum(x ** 2 for x in _X)
 
-_PAIRS4 = tuple(combinations(range(4), 2))
-
 
 def _two_form(coeffs: dict) -> dict:
     """Normalize a {(i,j): expr} 2-form dict (i < j)."""
@@ -447,68 +446,95 @@ def decaying_pair_forms():
     return out
 
 
-def _homogeneity_order(form: dict):
-    """Common Euler degree of the components, or None if inhomogeneous."""
-    order = None
-    for c in form.values():
-        euler = sp.simplify(sum(x * sp.diff(c, x) for x in _X))
-        if sp.simplify(euler) == 0 and sp.simplify(c) == 0:
-            continue
-        ratio = sp.simplify(euler / c)
-        if not ratio.is_number:
-            return None
-        if order is None:
-            order = ratio
-        elif sp.simplify(ratio - order) != 0:
-            return None
-    return order
+# The oracle holds each component as a term (P, a), meaning P * S^(-a) with
+# P a homogeneous polynomial over QQ and S = |x|^2.  Derivatives of terms
+# are terms again, so every "is this zero?" is a polynomial test.
+
+def _poly(expr) -> sp.Poly:
+    return sp.Poly(expr, *_X, domain="QQ")
+
+
+_SP = _poly(_S)
+_XP = tuple(_poly(x) for x in _X)
+_ZERO = _poly(0)
+
+
+def _term(expr):
+    """(P, a) with expr = P * S^(-a).  Raises ValueError unless expr is
+    rational over QQ, its reduced denominator is a constant times a power
+    of S and its numerator is homogeneous."""
+    num, den = sp.fraction(sp.cancel(expr))
+    try:
+        P, Q = _poly(num), _poly(den)
+    except sp.polys.polyerrors.BasePolynomialError as exc:
+        raise ValueError(f"{expr} is not rational in x1..x4 over QQ") from exc
+    a = Q.total_degree() // 2
+    c, rem = Q.div(_SP ** a)
+    if not (rem.is_zero and c.is_ground):
+        raise ValueError(f"denominator {den} is not a power of |x|^2")
+    if not P.is_homogeneous:
+        raise ValueError(f"numerator {num} is not homogeneous")
+    return P.quo_ground(c.LC()), a
+
+
+def _diff(term, i: int):
+    """d/dx_i (P S^-a) = (S dP/dx_i - 2a x_i P) S^(-a-1)."""
+    P, a = term
+    return _SP * P.diff(_X[i]) - 2 * a * _XP[i] * P, a + 1
+
+
+def _laplacian(term):
+    """sum_i d^2/dx_i^2 (P S^-a) = (S Delta P - 4a x.grad P + 4a(a-1) P)
+    S^(-a-1), which is _diff applied twice and summed over i, using
+    sum_i x_i^2 = S."""
+    P, a = term
+    lap = sum((P.diff((x, 2)) for x in _X), _ZERO)
+    euler = sum((xp * P.diff(x) for xp, x in zip(_XP, _X)), _ZERO)
+    return _SP * lap - 4 * a * euler + 4 * a * (a - 1) * P, a + 1
+
+
+def _combine(terms):
+    """Sum of terms at their highest power of S."""
+    top = max(a for _, a in terms)
+    return sum((P * _SP ** (top - a) for P, a in terms), _ZERO), top
 
 
 def harmonic_oracle_r4(candidate: dict):
     """Componentwise Hodge-Laplacian residual of a 2-form on R^4 \\ {0}
-    by exact symbolic differentiation.
+    by exact polynomial arithmetic on components P |x|^(-2a).
 
-    Returns {"residual": float, "order": sympy number, "closed": bool,
+    Returns {"residual": float, "order": int, "closed": bool,
     "coclosed": bool}.  residual is 0.0 exactly when every component of
-    sum_i d^2/dx_i^2 simplifies to zero.  Raises for inhomogeneous
-    candidates.
+    sum_i d^2/dx_i^2 vanishes identically; order is deg P - 2a.  Raises
+    ValueError for inhomogeneous candidates and for components whose
+    denominator is not a power of |x|^2.
     """
-    form = _two_form(candidate)
-    order = _homogeneity_order(form)
-    if order is None:
+    form = {ij: _term(c) for ij, c in _two_form(candidate).items()}
+    orders = {P.total_degree() - 2 * a for P, a in form.values()
+              if not P.is_zero}
+    if len(orders) != 1:
         raise ValueError("candidate is not homogeneous of a single order")
 
     residual = 0.0
-    for c in form.values():
-        lap = sp.simplify(sum(sp.diff(c, x, 2) for x in _X))
-        if lap != 0:
-            # sample on rational points away from the origin
-            vals = []
-            for pt in [(1, 0, 0, 0), (1, 2, -1, 3), (2, 1, 1, 1)]:
-                vals.append(abs(float(lap.subs(dict(zip(_X, pt))))))
-            residual = max(residual, max(vals))
+    for term in form.values():
+        lap, a = _laplacian(term)
+        for pt in ((1, 0, 0, 0), (1, 2, -1, 3), (2, 1, 1, 1)):
+            value = lap(*pt) / sum(v * v for v in pt) ** a
+            residual = max(residual, abs(float(value)))
 
-    # closedness: d of the 2-form
-    closed = True
-    for (i, j, k) in combinations(range(4), 3):
-        term = (sp.diff(form.get((j, k), sp.Integer(0)), _X[i])
-                - sp.diff(form.get((i, k), sp.Integer(0)), _X[j])
-                + sp.diff(form.get((i, j), sp.Integer(0)), _X[k]))
-        if sp.simplify(term) != 0:
-            closed = False
-            break
-    # coclosedness: divergence of the components row by row
-    coclosed = True
-    for i in range(4):
-        div = sp.Integer(0)
-        for j in range(4):
-            if i == j:
-                continue
-            a, b, s = (i, j, 1) if i < j else (j, i, -1)
-            div += s * sp.diff(form.get((a, b), sp.Integer(0)), _X[j])
-        if sp.simplify(div) != 0:
-            coclosed = False
-            break
+    def w(i, j):    # omega_ij for any ordered pair, zero where absent
+        P, a = form.get((min(i, j), max(i, j)), (_ZERO, 0))
+        return (P if i < j else -P), a
+
+    # (d omega)_ijk = d_i omega_jk + d_j omega_ki + d_k omega_ij
+    closed = all(_combine([_diff(w(j, k), i), _diff(w(k, i), j),
+                           _diff(w(i, j), k)])[0].is_zero
+                 for i, j, k in combinations(range(4), 3))
+    # divergence, row by row: sum_j d_j omega_ij
+    coclosed = all(_combine([_diff(w(i, j), j) for j in range(4)
+                             if j != i])[0].is_zero
+                   for i in range(4))
+    order, = orders
     return {"residual": residual, "order": order,
             "closed": closed, "coclosed": coclosed}
 
@@ -517,16 +543,27 @@ def harmonic_oracle_r4(candidate: dict):
 # function spectrum on S^3 by polynomial algebra
 # ----------------------------------------------------------------------
 
-def s3_function_spectrum_check(m: int) -> dict:
-    """Verify the degree-m seed harmonic polynomial Re((x1 + i x2)^m)
-    restricts to a Laplace eigenfunction on S^3 with eigenvalue m(m+2)
-    and antipodal parity (-1)^m, by exact polynomial algebra.
+def _sphere_eigenvalue(p: sp.Poly):
+    """Laplace eigenvalue on S^3 of the restriction of a homogeneous
+    polynomial p of degree m.  p S^(-m/2) has Euler degree 0, so its
+    Laplacian on R^4 \\ {0} is S^-1 times the sphere Laplacian of the
+    restriction: an eigenfunction with eigenvalue lambda gives
+    -lambda p S^(-m/2-1).  lambda is read off as the exact quotient by p;
+    raises RuntimeError when that quotient is not a constant."""
+    lap, _ = _laplacian((p, sp.Rational(p.total_degree(), 2)))
+    quotient, rem = lap.div(p)
+    if not (rem.is_zero and quotient.is_ground):
+        raise RuntimeError(f"{p.as_expr()} does not restrict to a Laplace "
+                           "eigenfunction on S^3")
+    return -quotient.LC()
 
-    The verification is mechanical: (a) the Euclidean Laplacian of p
-    vanishes identically; (b) p is Euler-homogeneous of degree m; (c) the
-    radial calculus identity Delta(p s^{-m/2}) = -m(m+2) p s^{-m/2-1}
-    (s = |x|^2) combines (a), (b) and the exact coefficient arithmetic
-    -2m^2 + m(m-2) = -m(m+2), which gives the sphere eigenvalue.
+
+def s3_function_spectrum_check(m: int) -> dict:
+    """Laplace eigenvalue and antipodal parity on S^3 of the degree-m
+    seed harmonic polynomial p = Re((x1 + i x2)^m), by exact polynomial
+    algebra.  The eigenvalue is computed from p, not assumed: the
+    oracle's Laplacian is applied to p |x|^(-m) and divided exactly by p
+    (_sphere_eigenvalue).  The classical value is m(m+2).
     """
     if not (0 <= m <= 8):
         raise ValueError("m must lie in 0..8")
@@ -534,20 +571,7 @@ def s3_function_spectrum_check(m: int) -> dict:
     p = sp.expand(sp.re(z ** m))
     if p == 0:
         raise ValueError("seed polynomial vanished")
-    lap = sp.expand(sum(sp.diff(p, x, 2) for x in _X))
-    if lap != 0:
-        raise ValueError("seed polynomial is not harmonic")
-    euler = sp.expand(sum(x * sp.diff(p, x) for x in _X) - m * p)
-    if euler != 0:
-        raise ValueError("seed polynomial is not homogeneous of degree m")
-    # radial calculus with exact rationals:
-    # Delta(s^a) = 4a(a+1) s^{a-1}, grad contributions give -2m^2
-    a = Fraction(-m, 2)
-    radial = 4 * a * (a + 1)            # m(m-2)
-    cross = Fraction(-2 * m * m)
-    eigen = -(radial + cross)           # m(m+2), sign-flipped to Hodge
-    if eigen != m * (m + 2):
-        raise RuntimeError(f"radial calculus gave {eigen}, not m(m+2)")
+    eigen = _sphere_eigenvalue(_poly(p))
     parity_poly = sp.expand(p.subs(dict(zip(_X, [-x for x in _X]))) -
                             (-1) ** m * p)
     parity_ok = parity_poly == 0

@@ -183,15 +183,6 @@ class RadialForm:
                           {m: c.subs(K, k_val) for m, c in self.coeffs.items()},
                           self.frame)
 
-    def pullback_radial(self, lam2) -> "RadialForm":
-        """Pullback under the radial map r -> lam2 * r (fixing SO(3))."""
-        lam2 = sp.sympify(lam2)
-        out = {}
-        for mono, c in self.coeffs.items():
-            fac = lam2 if 0 in mono else 1
-            out[mono] = fac * c.subs(R, lam2 * R)
-        return RadialForm(self.degree, out, self.frame)
-
     def is_zero(self) -> bool:
         return all(sp.simplify(c) == 0 for c in self.coeffs.values())
 
@@ -525,9 +516,13 @@ def rescaling_invariance_check(a: RadialForm, beta: float, t: float,
     rhs = float(rhs_vals.max())
 
     # 1-side on the matched grid u = r / t^2; the form keeps its own
-    # family parameter k = t^4 while the frame/weight switch to g_(1)
+    # family parameter k = t^4 while the frame/weight switch to g_(1).
+    # The radial map r -> t^2 r fixes SO(3), so only dr picks up t^2.
     us = rs / t ** 2
-    pulled = a.subs_k(t ** 4).pullback_radial(t ** 2) * (t ** (-beta - 2))
+    lam2 = sp.sympify(t ** 2)
+    pulled = t ** (-beta - 2) * RadialForm(a.degree, {
+        m: (lam2 if 0 in m else 1) * c.subs(R, lam2 * R)
+        for m, c in a.subs_k(k_val).coeffs.items()}, a.frame)
     w_1 = 1.0 + radial_distance_many(1.0, us)
     lhs_vals = w_1 ** (-beta) * pulled.pointwise_norm(1.0, us)
     lhs = float(lhs_vals.max())

@@ -33,7 +33,7 @@ __all__ = [
     "gamma_elements", "preserves_invariant_form", "FixedTorus",
     "fixed_point_tori", "singular_components", "GluingChart",
     "glued_structure", "torsion_form", "closedness_residual",
-    "torsion_decay_fit", "approximate_kernel_basis", "plateau_metric_error",
+    "torsion_decay_fit", "plateau_metric_error",
 ]
 
 HALF = Fraction(1, 2)
@@ -191,8 +191,7 @@ def singular_components(b2_torus_quotient: int = 0) -> dict:
     generator's fixed tori under the other two generators; twelve are
     expected), the smallest orbit length measured (4 exactly when that
     Z2 x Z2 acts freely), pairwise disjointness, and the expected kernel
-    dimension 12 + b2 of the quotient used by the approximate-kernel
-    bookkeeping.
+    dimension 12 + b2 of the quotient.
     """
     elements = gamma_elements()
     gens = {"a": ALPHA, "b": BETA, "c": GAMMA}
@@ -514,48 +513,3 @@ def positivity_threshold(t_candidates=None) -> float:
             continue
         best = max(best, t)
     return best
-
-
-# ----------------------------------------------------------------------
-# approximate kernel
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelElement:
-    """One cutoff 2-form chi(s) nu_{t^4} attached to a singular component."""
-    component: int
-    t: float
-
-    def evaluate(self, rs) -> Form:
-        chart = GluingChart(self.t)
-        rs = np.asarray(rs, dtype=float)
-        nu, _, _ = eh.harmonic_forms()
-        base = nu.evaluate_onb(self.t ** 4, rs)
-        c = chart.chi(chart.s_of_r(rs))
-        return Form(4, 2, c * base.coeffs)
-
-
-def approximate_kernel_basis(t: float, b2_torus_quotient: int = 0) -> dict:
-    """The twelve cutoff forms chi * nu_{t^4, i} plus the count of flat
-    2-form directions: a basis description of the approximate kernel.
-
-    Verifies continuity of chi * nu across s = zeta/4 numerically and
-    reports the span dimension 12 + b2; elements on distinct components
-    have disjoint supports, hence vanishing pairwise inner products.
-    """
-    if not (0 < t < 1):
-        raise ValueError("need t in (0,1)")
-    chart = GluingChart(t)
-    elements = [KernelElement(i, t) for i in range(12)]
-    s0 = chart.zeta / 4
-    eps = 1e-9
-    below = elements[0].evaluate(chart.r_of_s(s0 - eps))
-    above = elements[0].evaluate(chart.r_of_s(s0 + eps))
-    jump = float(np.abs(above.coeffs - below.coeffs).max())
-    return {
-        "elements": elements,
-        "flat_directions": b2_torus_quotient,
-        "dimension": 12 + b2_torus_quotient,
-        "cut_continuity_jump": jump,
-        "disjoint_supports": True,
-    }

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from g2glue import cone as C
 
@@ -181,6 +182,42 @@ def test_oracle_rejects_inhomogeneous():
         C.harmonic_oracle_r4({(0, 1): 1 / C._S + 1})
 
 
+@pytest.mark.parametrize("component", [
+    1 / C._X[0], C._X[1] / (C._X[0] * C._S), 1 / (C._S + C._X[0] ** 2),
+    sp.sqrt(2) / C._S])
+def test_oracle_rejects_components_outside_the_term_form(component):
+    # only P |x|^(-2a) with P a rational polynomial is accepted
+    with pytest.raises(ValueError):
+        C.harmonic_oracle_r4({(0, 1): component})
+
+
+@st.composite
+def terms(draw):
+    """(P, a) with P a random homogeneous polynomial of degree <= 3."""
+    degree = draw(st.integers(0, 3))
+    monomials = sorted(sp.itermonomials(C._X, degree, degree),
+                       key=sp.default_sort_key)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monomials),
+                           max_size=len(monomials)))
+    P = sum((c * mono for c, mono in zip(coeffs, monomials)), sp.Integer(0))
+    return sp.Poly(P, *C._X, domain="QQ"), draw(st.integers(0, 3))
+
+
+def _as_expr(term):
+    P, a = term
+    return P.as_expr() / C._S ** a
+
+
+@settings(max_examples=20, deadline=None)
+@given(term=terms(), i=st.integers(0, 3))
+def test_term_calculus_matches_sympy_diff(term, i):
+    expr = _as_expr(term)
+    assert sp.cancel(_as_expr(C._diff(term, i))
+                     - sp.diff(expr, C._X[i])) == 0
+    assert sp.cancel(_as_expr(C._laplacian(term))
+                     - sum(sp.diff(expr, x, 2) for x in C._X)) == 0
+
+
 def test_order_minus2_forms_even_under_antipode():
     subs = {x: -x for x in C._X}
     for w in C.order_minus2_basis():
@@ -200,6 +237,13 @@ def test_function_spectrum(m):
     assert out["parity_verified"]
     assert out["descends_to_so3"] == (m % 2 == 0)
     assert out["residual"] == 0.0
+
+
+def test_sphere_eigenvalue_read_off_the_polynomial():
+    # |x|^2 restricts to a constant; x1^2 mixes eigenvalues 0 and 8
+    assert C._sphere_eigenvalue(C._poly(C._S)) == 0
+    with pytest.raises(RuntimeError):
+        C._sphere_eigenvalue(C._poly(C._X[0] ** 2))
 
 
 def test_so3_function_spectrum_bottom():

@@ -203,26 +203,3 @@ def test_decay_fit_degenerate_when_out_of_domain():
     with pytest.raises(RuntimeError):
         KM.torsion_decay_fit([0.3, 0.2, 0.15, 0.1], n_samples=100,
                              with_gradient=False)
-
-
-# ----------------------------------------------------------------------
-# approximate kernel
-# ----------------------------------------------------------------------
-
-def test_approximate_kernel_basis():
-    out = KM.approximate_kernel_basis(0.05)
-    assert len(out["elements"]) == 12
-    assert out["dimension"] == 12
-    assert out["cut_continuity_jump"] <= 1e-12
-    assert out["disjoint_supports"]
-    out3 = KM.approximate_kernel_basis(0.05, b2_torus_quotient=3)
-    assert out3["dimension"] == 15
-
-
-def test_kernel_element_vanishes_inside_cut():
-    chart = KM.GluingChart(0.05)
-    el = KM.approximate_kernel_basis(0.05)["elements"][0]
-    inside = el.evaluate(np.array([chart.r_of_s(chart.zeta / 8)]))
-    assert np.abs(inside.coeffs).max() == 0.0
-    outside = el.evaluate(np.array([chart.r_of_s(0.6 * chart.zeta)]))
-    assert np.abs(outside.coeffs).max() > 0.0

@@ -16,3 +16,14 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cone_calls_no_simplify():
+    # the cone oracle decides "is this zero?" by polynomial arithmetic;
+    # sympy simplify made one `g2glue cone oracle` run take about 50 s
+    tree = ast.parse((PACKAGE / "cone.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr",
+                         getattr(node.func, "id", None)) == "simplify"]
+    assert found == []
