@@ -563,7 +563,9 @@ def s3_function_spectrum_check(m: int) -> dict:
     seed harmonic polynomial p = Re((x1 + i x2)^m), by exact polynomial
     algebra.  The eigenvalue is computed from p, not assumed: the
     oracle's Laplacian is applied to p |x|^(-m) and divided exactly by p
-    (_sphere_eigenvalue).  The classical value is m(m+2).
+    (_sphere_eigenvalue).  The classical value is m(m+2).  The parity is
+    read off p too, as the polynomial identity p(-x) = +-p(x); the
+    restriction is a function on SO(3) = S^3/{+-1} exactly when it is +1.
     """
     if not (0 <= m <= 8):
         raise ValueError("m must lie in 0..8")
@@ -572,16 +574,18 @@ def s3_function_spectrum_check(m: int) -> dict:
     if p == 0:
         raise ValueError("seed polynomial vanished")
     eigen = _sphere_eigenvalue(_poly(p))
-    parity_poly = sp.expand(p.subs(dict(zip(_X, [-x for x in _X]))) -
-                            (-1) ** m * p)
-    parity_ok = parity_poly == 0
+    antipodal = p.subs(dict(zip(_X, [-x for x in _X])), simultaneous=True)
+    if sp.expand(antipodal - p) == 0:
+        parity = 1
+    elif sp.expand(antipodal + p) == 0:
+        parity = -1
+    else:
+        raise RuntimeError(f"{p} is neither even nor odd under x -> -x")
     return {
         "m": m,
         "eigenvalue": int(eigen),
-        "parity": (-1) ** m,
-        "parity_verified": parity_ok,
-        "descends_to_so3": m % 2 == 0,
-        "residual": 0.0,
+        "parity": parity,
+        "descends_to_so3": parity == 1,
     }
 
 

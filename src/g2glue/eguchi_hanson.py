@@ -18,8 +18,9 @@ the identity section of SO(3), where the two coframes coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 import sympy as sp
@@ -60,9 +61,11 @@ FRAME_SIGN = {"left": 1, "right": -1}
 @dataclass(frozen=True)
 class RadialForm:
     """p-form with sympy coefficients of (r, k) on wedge monomials in
-    {dr, eta^1, eta^2, eta^3}; frame is 'left' or 'right'."""
+    {dr, eta^1, eta^2, eta^3}; frame is 'left' or 'right'.  Immutable:
+    coeffs is a read-only mapping, so the compiled evaluator of
+    evaluate_onb never goes stale."""
     degree: int
-    coeffs: dict            # monomial tuple -> sympy expression
+    coeffs: dict            # monomial tuple -> sympy expression (read-only)
     frame: str = "left"
 
     def __post_init__(self):
@@ -76,7 +79,7 @@ class RadialForm:
             c = sp.sympify(c)
             if c != 0:
                 clean[mono] = clean.get(mono, 0) + c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: "RadialForm") -> "RadialForm":
@@ -156,21 +159,23 @@ class RadialForm:
             out[mono] = sp.simplify(c * fac)
         return out
 
-    def _lambdified(self):
+    @cached_property
+    def _compiled(self):
+        """The ONB components over every monomial, as one function of
+        (r, k) from a single lambdify; built on the first evaluate_onb."""
         comps = self.onb_components()
-        monos = _monomials(self.degree)
-        funcs = tuple(sp.lambdify((R, K), comps.get(m, 0), "numpy") for m in monos)
-        return monos, funcs
+        return sp.lambdify((R, K), tuple(comps.get(m, 0) for m in
+                                         _monomials(self.degree)), "numpy")
 
     def evaluate_onb(self, k_val, r_val) -> Form:
         """Numeric Form (dim 4, basis order dt,e1,e2,e3) at (k, r); r may
-        be an array."""
-        monos, funcs = self._lambdified()
+        be an array.  The ONB conversion (with its simplify) and the
+        lambdify run once per form instance; k is a runtime argument, so
+        one compiled form serves every k."""
         r_arr = np.asarray(r_val, dtype=float)
         batch = r_arr.shape
-        coeffs = np.zeros((len(monos),) + batch)
-        for i, fn in enumerate(funcs):
-            coeffs[i] = np.broadcast_to(fn(r_arr, k_val), batch)
+        coeffs = np.stack([np.broadcast_to(v, batch)
+                           for v in self._compiled(r_arr, k_val)])
         return Form(4, self.degree, coeffs)
 
     def pointwise_norm(self, k_val, r_val) -> np.ndarray:

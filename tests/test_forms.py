@@ -355,6 +355,71 @@ def test_metric_rejects_non_positive():
         F.metric_from_g2(Form.basis(7, (0, 1, 2)))
 
 
+def random_gl_plus(rng, batch):
+    """Q1 diag(s) Q2 with Haar-like orthogonal Q1, Q2, singular values s
+    in [1/2, 2] and the first row flipped where det < 0: a random element
+    of GL+(7) with condition number at most 4."""
+    Q1, _ = np.linalg.qr(rng.normal(size=batch + (7, 7)))
+    Q2, _ = np.linalg.qr(rng.normal(size=batch + (7, 7)))
+    s = rng.uniform(0.5, 2.0, size=batch + (1, 7))
+    M = (Q1 * s) @ Q2
+    M[..., 0, :] *= np.sign(np.linalg.det(M))[..., None]
+    return M
+
+
+def ref_bryant_b(phi):
+    """B_ij vol = (e_i -| phi) ^ (e_j -| phi) ^ phi from the public
+    interior_product and wedge, shape (*batch, 7, 7)."""
+    contracted = [F.interior_product(Vector.basis(7, i), phi)
+                  for i in range(7)]
+    return np.stack([np.stack([F.wedge(F.wedge(a, b), phi).coeffs[0]
+                               for b in contracted], axis=-1)
+                     for a in contracted], axis=-2)
+
+
+def test_bryant_b_matches_wedge_reference():
+    # half the points positive (pullbacks of phi0), half random 3-forms;
+    # 300 points span two blocks of the A W A^T kernel
+    rng = np.random.default_rng(7)
+    positive = F.pullback(random_gl_plus(rng, (150,)), F.phi0()).coeffs
+    coeffs = np.concatenate([positive, rng.normal(size=(35, 150))], axis=1)
+    ref = ref_bryant_b(Form(7, 3, coeffs))
+    got = F._bryant_b(coeffs)
+    assert np.array_equal(got, np.swapaxes(got, 1, 2))
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-13 * scale).all()
+    # PositivityError exactly where the reference B is not definite, and
+    # B = 6 vol g where it is
+    eigs = np.linalg.eigvalsh(ref)
+    for k in range(coeffs.shape[1]):
+        if abs(eigs[k, 0]) <= 1e-8 * np.abs(eigs[k]).max():
+            continue                    # too close to the cone boundary
+        if eigs[k, 0] > 0:
+            g, vol = F.metric_from_g2(Form(7, 3, coeffs[:, k]))
+            assert np.abs(6 * vol * g.entries - ref[k]).max() <= \
+                1e-12 * scale[k]
+        else:
+            with pytest.raises(F.PositivityError):
+                F.metric_from_g2(Form(7, 3, coeffs[:, k]))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_metric_gl_plus_equivariance(seed):
+    # g(M^* phi) = M^T g(phi) M and vol(M^* phi) = det(M) vol(phi) for
+    # positive phi = P^* phi0 and det M > 0
+    rng = np.random.default_rng(seed)
+    for batch in ((), (257,)):
+        phi = F.pullback(random_gl_plus(rng, batch), F.phi0())
+        M = random_gl_plus(rng, batch)
+        g, vol = F.metric_from_g2(phi)
+        g_m, vol_m = F.metric_from_g2(F.pullback(M, phi))
+        expect = np.swapaxes(M, -1, -2) @ g.entries @ M
+        assert np.abs(g_m.entries - expect).max() <= \
+            1e-12 * np.abs(expect).max()
+        assert np.allclose(vol_m, np.linalg.det(M) * vol, rtol=1e-12)
+
+
 # ----------------------------------------------------------------------
 # cross product
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import sympy as sp
 
+from g2glue import eguchi_hanson as EH
 from g2glue import kummer as KM
-from g2glue.forms import PositivityError, metric_from_g2
+from g2glue.forms import Form, PositivityError, inner_product, metric_from_g2
 
 
 # ----------------------------------------------------------------------
@@ -139,6 +141,51 @@ def test_closedness_residual(monkeypatch):
             m.setattr(KM, "_fiber_two_forms",
                       lambda chart, r: fiber(WrongChart(chart.t), r))
             assert KM.closedness_residual(0.05, rs) > 1e-10
+    # its reference is built apart from the compiled fiber forms, so it
+    # sees a wrong omega_1 or d tau_1 in them
+    om1, om2, om3, drt, dtau1 = KM._fiber_forms()
+    for wrong in ((1.01 * om1, om2, om3, drt, dtau1),
+                  (om1, om2, om3, drt, 1.01 * dtau1)):
+        with monkeypatch.context() as m:
+            m.setattr(KM, "_fiber_forms", lambda: wrong)
+            assert KM.closedness_residual(0.05, rs) > 1e-10
+
+
+def test_fiber_forms_compiled_match_symbolic():
+    # the cached evaluators against the symbolic onb_components, evaluated
+    # by sympy at 30 digits, at random (k, r)
+    rng = np.random.default_rng(3)
+    for form in KM._fiber_forms():
+        comps = form.onb_components()
+        for k, r in zip(rng.uniform(1e-3, 1.0, 4), rng.uniform(1e-2, 2.0, 4)):
+            got = form.evaluate_onb(k, r).coeffs
+            exact = np.array([float(comps.get(m, sp.S.Zero).evalf(
+                30, subs={EH.R: sp.Float(r, 30), EH.K: sp.Float(k, 30)}))
+                for m in EH._monomials(form.degree)])
+            assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+def test_warm_torsion_form_compiles_nothing(monkeypatch):
+    t = 0.004
+    chart = KM.GluingChart(t)
+    rs = chart.r_of_s(np.linspace(chart.zeta / 4, chart.zeta / 2, 50))
+    cold = KM.torsion_form(t, rs, chart)
+    calls = {"simplify": 0, "lambdify": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+    warm = KM.torsion_form(t, rs, chart)
+    assert calls == {"simplify": 0, "lambdify": 0}
+    assert np.array_equal(warm[0].coeffs, cold[0].coeffs)
+    # a new k reuses the same compiled forms
+    KM.torsion_form(2 * t, 4 * rs, KM.GluingChart(2 * t))
+    assert calls == {"simplify": 0, "lambdify": 0}
 
 
 def test_torsion_supported_on_annulus():
@@ -171,6 +218,33 @@ def test_decay_fit_in_regime():
     rows = dict((r[0], r[1]) for r in out["rows"])
     ratio = rows[0.008] / rows[0.004]
     assert abs(ratio - 16.0) <= 1.6
+
+
+def test_gradient_from_one_batched_call(monkeypatch):
+    # |nabla psi| from one torsion_form call at r +- delta equals the
+    # central difference of two separate calls, measured with g at r
+    t = 0.004
+    chart = KM.GluingChart(t)
+    rs = chart.r_of_s(np.linspace(chart.zeta / 4 * 1.0001,
+                                  chart.zeta / 2 * 0.9999, 300))
+    _, _, g = KM.torsion_form(t, rs, chart)
+    delta = 1e-6 * rs
+    psi_p = KM.torsion_form(t, rs + delta, chart)[0].coeffs
+    psi_m = KM.torsion_form(t, rs - delta, chart)[0].coeffs
+    dpsi = Form(7, 3, (chart.k + rs ** 2) ** 0.25 * (psi_p - psi_m)
+                / (2.0 * delta))
+    expected = np.sqrt(np.maximum(inner_product(g, dpsi, dpsi), 0.0))
+    got = KM._grad_norm(t, rs, chart, g)
+    assert expected.max() > 0
+    assert np.abs(got - expected).max() <= 1e-12 * expected.max()
+    # a fit with gradient makes two torsion_form calls per t
+    calls = []
+    torsion_form = KM.torsion_form
+    monkeypatch.setattr(KM, "torsion_form",
+                        lambda *a, **k: calls.append(a[0]) or torsion_form(*a, **k))
+    fit = KM.torsion_decay_fit([0.008, 0.004, 0.002, 0.001], n_samples=100)
+    assert sorted(calls) == sorted(2 * [0.008, 0.004, 0.002, 0.001])
+    assert all(np.isfinite(row[2]) and row[2] > 0 for row in fit["rows"])
 
 
 def test_positivity_threshold_below_stated_range():
