@@ -27,7 +27,7 @@ print("  contraction factors:", [round(q, 5)
                                  for q in report["contraction_factors"]])
 
 ops = torus.derivative_ops(cfg.N)
-phi_tilde = phi + ops.d(eta)
+phi_tilde = phi + ops.d(eta.to_spectral()).to_grid()
 print("\nthe corrected structure equals the flat one to machine precision:")
 print("  |phi + d eta - phi0| =",
       (phi_tilde - torus.GridField.constant(phi0(), cfg.N)).linf())

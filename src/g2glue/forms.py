@@ -10,7 +10,7 @@ pure: no operation mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -178,9 +178,14 @@ class Form:
 
 @dataclass(frozen=True)
 class Metric:
-    """Symmetric positive-definite bilinear form; entries (*batch, n, n)."""
+    """Symmetric positive-definite bilinear form; entries (*batch, n, n).
+
+    sqrt_det, sqrt(det g) at each point, is read off the Cholesky factor
+    that proves the entries definite, so no second factorization is made.
+    """
     dim: int
     entries: np.ndarray
+    sqrt_det: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -189,10 +194,23 @@ class Metric:
         if not np.allclose(e, np.swapaxes(e, -1, -2), rtol=1e-12, atol=1e-12):
             raise ValueError("metric must be symmetric")
         try:
-            np.linalg.cholesky(e)
+            chol = np.linalg.cholesky(e)
         except np.linalg.LinAlgError:
             raise PositivityError("metric is not positive definite") from None
         object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "sqrt_det", np.prod(
+            np.diagonal(chol, axis1=-2, axis2=-1), axis=-1))
+
+    @classmethod
+    def _proved(cls, entries: np.ndarray, sqrt_det: np.ndarray) -> "Metric":
+        """A metric whose entries the caller has already proved symmetric
+        and positive-definite, with sqrt(det) from that proof: the checks
+        and the factorization of __post_init__ are not repeated."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "dim", entries.shape[-1])
+        object.__setattr__(g, "entries", entries)
+        object.__setattr__(g, "sqrt_det", sqrt_det)
+        return g
 
     @staticmethod
     def euclidean(dim: int) -> "Metric":
@@ -204,9 +222,6 @@ class Metric:
 
     def inverse(self) -> np.ndarray:
         return np.linalg.inv(self.entries)
-
-    def det(self) -> np.ndarray:
-        return np.linalg.det(self.entries)
 
 
 @dataclass(frozen=True)
@@ -384,7 +399,7 @@ def hodge_star(g: Metric, a: Form) -> Form:
         raise ValueError("hodge star: dimension mismatch")
     n, p = a.dim, a.degree
     place = _complement_matrix(n, p)
-    sqdet = np.sqrt(g.det())
+    sqdet = g.sqrt_det
     if p <= n - p:
         dual = np.tensordot(place, _lambda_action(g.inverse(), a.coeffs, n, p),
                             axes=1)
@@ -401,7 +416,7 @@ def inner_product(g: Metric, a: Form, b: Form) -> np.ndarray:
     a._check_like(b)
     if g.dim != a.dim:
         raise ValueError("inner product: dimension mismatch")
-    return wedge(a, hodge_star(g, b)).coeffs[0] / np.sqrt(g.det())
+    return wedge(a, hodge_star(g, b)).coeffs[0] / g.sqrt_det
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +496,9 @@ def metric_from_g2(phi: Form):
     g = 6^(-2/9) det(B)^(-1/9) B and vol = sqrt(det g) = 6^(-7/9) det(B)^(1/9).
     The normalization is pinned by metric_from_g2(phi0) == euclidean.
     B is factored once: the Cholesky factor L that tests definiteness also
-    gives det B = prod(diag L)^2.  Raises PositivityError when B is not
-    positive definite (phi is not a G2-structure).
+    gives det B = prod(diag L)^2, and g carries vol as its sqrt_det, so
+    hodge_star with g factors nothing more.  Raises PositivityError when B
+    is not positive definite (phi is not a G2-structure).
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("metric_from_g2 expects a 3-form in dimension 7")
@@ -496,7 +512,8 @@ def metric_from_g2(phi: Form):
     if np.any(detB <= 0.0):
         raise PositivityError("3-form is not a G2-structure (det B <= 0)")
     g_entries = 6.0 ** (-2.0 / 9.0) * detB[..., None, None] ** (-1.0 / 9.0) * B
-    return Metric(7, g_entries), 6.0 ** (-7.0 / 9.0) * detB ** (1.0 / 9.0)
+    vol = 6.0 ** (-7.0 / 9.0) * detB ** (1.0 / 9.0)
+    return Metric._proved(g_entries, vol), vol
 
 
 def cross_product(phi: Form, g: Metric, u: Vector, v: Vector) -> Vector:

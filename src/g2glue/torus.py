@@ -32,18 +32,20 @@ A 'cg' mode repeats the correction against the honest nonlinear residual
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import struct
 
 import numpy as np
+import scipy.fft
 
 from .forms import (Form, Metric, PositivityError, hodge_star, index_list,
                     index_position, inner_product, merge_sign, metric_from_g2,
                     phi0, star_phi0, theta, theta_split, wedge)
 
 __all__ = [
-    "GridField", "SolverConfig", "SpectralOps", "derivative_ops",
+    "GridField", "SpectralField", "SolverConfig", "SpectralOps",
+    "derivative_ops",
     "make_model_problem", "picard_step", "solve", "residual",
     "flat_t_matrix", "save_field", "load_field", "GridTooLargeError",
 ]
@@ -52,14 +54,38 @@ TWO_PI = 2.0 * np.pi
 
 
 # ----------------------------------------------------------------------
-# grid fields
+# the one FFT site
+# ----------------------------------------------------------------------
+
+_GRID_AXES = tuple(range(1, 8))
+_ZERO_MODE = (slice(None),) + (0,) * 7
+
+
+def _rfft(coeffs: np.ndarray) -> np.ndarray:
+    """Half spectrum over the seven grid axes of real (ncomp, N^7) values.
+
+    _rfft and _irfft are the package's only Fourier transforms.  They run
+    on one worker thread, as the BLAS calls do in a timed run, so that a
+    solve uses one core.
+    """
+    return scipy.fft.rfftn(coeffs, axes=_GRID_AXES, workers=1)
+
+
+def _irfft(spec: np.ndarray, N: int) -> np.ndarray:
+    """Real (ncomp, N^7) grid values of a half spectrum."""
+    return scipy.fft.irfftn(spec, s=(N,) * 7, axes=_GRID_AXES, workers=1)
+
+
+# ----------------------------------------------------------------------
+# fields: grid values and half spectra
 # ----------------------------------------------------------------------
 
 class GridField:
-    """Degree-p form field on the N^7 periodic lattice.
+    """Degree-p form field on the N^7 periodic lattice by its grid values.
 
-    coeffs: real array (ncomp, N, ..., N); the spectral representation is
-    the rfftn over the seven grid axes, cached on first use.
+    coeffs: real array (ncomp, N, ..., N).  The pointwise maps (theta,
+    the metric, hodge_star with g), the L^inf norms and the dump read
+    these values; to_spectral() transforms them, once per call.
     """
 
     def __init__(self, degree: int, coeffs: np.ndarray):
@@ -72,12 +98,6 @@ class GridField:
         self.degree = degree
         self.coeffs = coeffs
         self.N = coeffs.shape[1]
-        self._spectral = None
-
-    @classmethod
-    def zero(cls, degree: int, N: int) -> "GridField":
-        nc = len(index_list(7, degree))
-        return cls(degree, np.zeros((nc,) + (N,) * 7))
 
     @classmethod
     def constant(cls, form: Form, N: int) -> "GridField":
@@ -86,25 +106,15 @@ class GridField:
         arr[:] = form.coeffs.reshape((nc,) + (1,) * 7)
         return cls(form.degree, arr)
 
-    @classmethod
-    def from_spectral(cls, degree: int, spec: np.ndarray, N: int) -> "GridField":
-        coeffs = np.fft.irfftn(spec, s=(N,) * 7, axes=tuple(range(1, 8)))
-        out = cls(degree, coeffs)
-        out._spectral = spec
-        return out
-
-    @property
-    def spectral(self) -> np.ndarray:
-        if self._spectral is None:
-            self._spectral = np.fft.rfftn(self.coeffs, axes=tuple(range(1, 8)))
-        return self._spectral
+    def to_spectral(self) -> "SpectralField":
+        return SpectralField(self.degree, _rfft(self.coeffs), self.N)
 
     def as_form(self) -> Form:
         return Form(7, self.degree, self.coeffs)
 
     def zero_mode(self) -> np.ndarray:
         """Grid average of each component (the constant Fourier mode)."""
-        return self.coeffs.mean(axis=tuple(range(1, 8)))
+        return self.coeffs.mean(axis=_GRID_AXES)
 
     def linf(self) -> float:
         return float(np.abs(self.coeffs).max())
@@ -117,6 +127,61 @@ class GridField:
 
     def __mul__(self, s):
         return GridField(self.degree, s * self.coeffs)
+
+    __rmul__ = __mul__
+
+
+class SpectralField:
+    """Degree-p form field on the N^7 periodic lattice by its half spectrum.
+
+    spec: complex array (ncomp, N, ..., N, N // 2 + 1), the rfftn of the
+    grid values over the seven grid axes.  The derivative operators act
+    here; to_grid() transforms back, once per call.
+    """
+
+    def __init__(self, degree: int, spec: np.ndarray, N: int):
+        nc = len(index_list(7, degree))
+        if spec.shape != (nc,) + (N,) * 6 + (N // 2 + 1,):
+            raise ValueError(f"expected the (ncomp={nc}) half spectrum of "
+                             f"an N = {N} grid")
+        self.degree = degree
+        self.spec = spec
+        self.N = N
+
+    @classmethod
+    def zero(cls, degree: int, N: int) -> "SpectralField":
+        nc = len(index_list(7, degree))
+        return cls(degree, np.zeros((nc,) + (N,) * 6 + (N // 2 + 1,),
+                                    dtype=complex), N)
+
+    def to_grid(self) -> GridField:
+        return GridField(self.degree, _irfft(self.spec, self.N))
+
+    def hermitian(self) -> "SpectralField":
+        """The half spectrum of the real field to_grid() returns.
+
+        On the planes of the last axis that are their own conjugates
+        (modes 0 and N/2), a half spectrum of a real field satisfies
+        X(-k) = conj X(k); irfftn reads only (X(k) + conj X(-k)) / 2 there,
+        and this keeps that part.  The symbol of d is odd in m and so
+        breaks the symmetry at the Nyquist modes, where m(-k) = m(k).
+        """
+        planes = [0, self.N // 2] if self.N % 2 == 0 else [0]
+        axes = tuple(range(1, 7))
+        spec = self.spec.copy()
+        sub = spec[..., planes]
+        mirror = np.roll(np.flip(sub, axis=axes), 1, axis=axes)
+        spec[..., planes] = 0.5 * (sub + mirror.conj())
+        return SpectralField(self.degree, spec, self.N)
+
+    def __add__(self, other):
+        return SpectralField(self.degree, self.spec + other.spec, self.N)
+
+    def __sub__(self, other):
+        return SpectralField(self.degree, self.spec - other.spec, self.N)
+
+    def __mul__(self, s):
+        return SpectralField(self.degree, s * self.spec, self.N)
 
     __rmul__ = __mul__
 
@@ -141,7 +206,8 @@ def _d_table(p: int):
 
 
 class SpectralOps:
-    """Fourier-diagonal d, d*, Laplacian and inverse on the N^7 grid."""
+    """Fourier-diagonal d, d*, Laplacian and inverse on half spectra of
+    the N^7 grid."""
 
     def __init__(self, N: int):
         self.N = N
@@ -166,50 +232,47 @@ class SpectralOps:
             out[o] += (factor * sign) * (self.m[a] * spec[i])
         return out
 
-    def d(self, field: GridField) -> GridField:
+    def d(self, field: SpectralField) -> SpectralField:
         """Exterior derivative on trigonometric interpolants (exact)."""
         p = field.degree
-        out = self._m_action(field.spectral, p, p + 1, TWO_PI * 1j)
-        return GridField.from_spectral(p + 1, out, self.N)
+        out = self._m_action(field.spec, p, p + 1, TWO_PI * 1j)
+        return SpectralField(p + 1, out, self.N)
 
-    def delta(self, field: GridField) -> GridField:
+    def delta(self, field: SpectralField) -> SpectralField:
         """Formal adjoint of d w.r.t. the flat L^2 pairing (degree -1)."""
         p = field.degree
-        out = self._m_action(field.spectral, p, p - 1, -TWO_PI * 1j)
-        return GridField.from_spectral(p - 1, out, self.N)
+        out = self._m_action(field.spec, p, p - 1, -TWO_PI * 1j)
+        return SpectralField(p - 1, out, self.N)
 
-    def laplacian(self, field: GridField) -> GridField:
-        spec = field.spectral * (TWO_PI ** 2 * self.m2)
-        return GridField.from_spectral(field.degree, spec, self.N)
+    def laplacian(self, field: SpectralField) -> SpectralField:
+        spec = field.spec * (TWO_PI ** 2 * self.m2)
+        return SpectralField(field.degree, spec, self.N)
 
-    def inv_laplacian(self, field: GridField, project: bool = False) -> GridField:
+    def inv_laplacian(self, field: SpectralField,
+                      project: bool = False) -> SpectralField:
         """Invert the Hodge Laplacian on the mean-zero complement.
 
         The constant modes are outside the image; with project=False a
         nonzero constant mode raises, with project=True it is dropped (the
         discrete analogue of working orthogonal to the reference kernel).
         """
-        spec = field.spectral.copy()
-        zero = tuple([slice(None)] + [0] * 7)
-        if not project and np.abs(spec[zero]).max() > 1e-10 * (
-                1.0 + np.abs(spec).max()):
+        if not project and np.abs(field.spec[_ZERO_MODE]).max() > 1e-10 * (
+                1.0 + np.abs(field.spec).max()):
             raise ValueError("cannot invert the Laplacian on the zero mode")
-        spec = spec / self.lap_nonzero
-        spec[zero] = 0.0
-        return GridField.from_spectral(field.degree, spec, self.N)
+        spec = field.spec / self.lap_nonzero
+        spec[_ZERO_MODE] = 0.0
+        return SpectralField(field.degree, spec, self.N)
 
-    def band_limit(self, field: GridField, max_mode: int) -> GridField:
-        spec = field.spectral.copy()
-        mask = np.ones(spec.shape[1:], dtype=bool)
+    def band_limit(self, field: SpectralField, max_mode: int) -> SpectralField:
+        mask = np.ones(field.spec.shape[1:], dtype=bool)
         for m in self.m:
             mask &= (np.abs(m) <= max_mode)
-        spec *= mask
-        return GridField.from_spectral(field.degree, spec, self.N)
+        return SpectralField(field.degree, field.spec * mask, self.N)
 
-    def mean_zero(self, field: GridField) -> GridField:
-        spec = field.spectral.copy()
-        spec[tuple([slice(None)] + [0] * 7)] = 0.0
-        return GridField.from_spectral(field.degree, spec, self.N)
+    def mean_zero(self, field: SpectralField) -> SpectralField:
+        spec = field.spec.copy()
+        spec[_ZERO_MODE] = 0.0
+        return SpectralField(field.degree, spec, self.N)
 
 
 @lru_cache(maxsize=None)
@@ -258,25 +321,27 @@ def _apply_symbol(ops: SpectralOps, spec: np.ndarray) -> np.ndarray:
     return ops._m_action(p0_dx, 3, 2, TWO_PI ** 2)
 
 
-def _apply_symbol_pinv(N: int, field: GridField) -> GridField:
+def _apply_symbol_pinv(N: int, field: SpectralField) -> SpectralField:
     """A^+ = Lap^-2 A, mode by mode; 0 on the zero mode."""
     ops = derivative_ops(N)
-    out = _apply_symbol(ops, field.spectral) / ops.lap_nonzero ** 2
-    return GridField.from_spectral(2, out, N)
+    return SpectralField(
+        2, _apply_symbol(ops, field.spec) / ops.lap_nonzero ** 2, N)
 
 
-def _apply_kernel_projector(N: int, field: GridField) -> GridField:
+def _apply_kernel_projector(N: int, field: SpectralField) -> SpectralField:
     """Project a 2-form field onto the mode-wise kernel of the symbol
     (d-closed plus diffeomorphism-gauge directions): Id + Lap^-1 A."""
     ops = derivative_ops(N)
-    spec = field.spectral
-    return GridField.from_spectral(
+    spec = field.spec
+    return SpectralField(
         2, spec + _apply_symbol(ops, spec) / ops.lap_nonzero, N)
 
 
-def _apply_matrix(M: np.ndarray, field: GridField, degree_out: int) -> GridField:
-    return GridField(degree_out,
-                     np.einsum("ij,j...->i...", M, field.coeffs))
+def _apply_matrix(M: np.ndarray, field: SpectralField,
+                  degree_out: int) -> SpectralField:
+    """A constant linear map of forms, such as *0, on a half spectrum."""
+    return SpectralField(degree_out, np.tensordot(M, field.spec, axes=1),
+                         field.N)
 
 
 def _theta_grid(field3: GridField) -> GridField:
@@ -287,11 +352,12 @@ def _theta_grid(field3: GridField) -> GridField:
 
 def _flat_split_F(chi: GridField) -> GridField:
     """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field."""
-    N = chi.N
-    sp0 = GridField.constant(star_phi0(), N)
-    t_chi = _apply_matrix(flat_t_matrix(), chi, 4)
-    theta_full = _theta_grid(GridField.constant(phi0(), N) + chi)
-    return sp0 - t_chi - theta_full
+    const = (slice(None),) + (None,) * 7
+    theta_full = _theta_grid(GridField(3, phi0().coeffs[const] + chi.coeffs))
+    F = star_phi0().coeffs[const] - np.tensordot(flat_t_matrix(), chi.coeffs,
+                                                 axes=1)
+    F -= theta_full.coeffs
+    return GridField(4, F)
 
 
 # ----------------------------------------------------------------------
@@ -356,12 +422,11 @@ def make_model_problem(cfg: SolverConfig):
             f"{avail / 2 ** 30:.1f} GiB available")
     ops = derivative_ops(cfg.N)
     rng = np.random.default_rng(cfg.seed)
-    raw = GridField(2, rng.normal(size=(21,) + (cfg.N,) * 7))
-    band = ops.band_limit(raw, max(1, cfg.N // 4))
-    band = ops.mean_zero(band)
+    raw = GridField(2, rng.normal(size=(21,) + (cfg.N,) * 7)).to_spectral()
+    band = ops.mean_zero(ops.band_limit(raw, max(1, cfg.N // 4)))
     # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops)
     sigma = ops.delta(ops.inv_laplacian(ops.d(band), project=True))
-    dsig = ops.d(sigma)
+    dsig = ops.d(sigma).to_grid()
     scale = dsig.linf()
     if scale == 0.0:
         raise RuntimeError("degenerate random draw")
@@ -374,15 +439,17 @@ def make_model_problem(cfg: SolverConfig):
     except PositivityError as exc:
         raise PositivityError(
             "eps too large: phi leaves the G2 cone on the grid") from exc
-    theta_phi = _theta_grid(phi)
+    theta_phi = GridField(4, hodge_star(g, phi.as_form()).coeffs)
     mismatch = theta_phi - GridField.constant(star_phi0(), cfg.N)
     psi = GridField(3, hodge_star(g, mismatch.as_form()).coeffs)
 
     # compatibility: both coderivatives w.r.t. g(phi); identical pipelines
-    dstar_psi = hodge_star(g, ops.d(GridField(
-        4, hodge_star(g, psi.as_form()).coeffs)).as_form()).coeffs
-    dstar_phi = hodge_star(g, ops.d(GridField(
-        4, theta_phi.coeffs)).as_form()).coeffs
+    def dstar(field4: GridField) -> np.ndarray:
+        d5 = ops.d(field4.to_spectral()).to_grid()
+        return hodge_star(g, d5.as_form()).coeffs
+
+    dstar_psi = dstar(GridField(4, hodge_star(g, psi.as_form()).coeffs))
+    dstar_phi = dstar(theta_phi)
     denom = np.abs(dstar_phi).max() + 1e-30
     compat = float(np.abs(dstar_psi - dstar_phi).max() / denom)
     if compat > 1e-8:
@@ -394,85 +461,83 @@ def make_model_problem(cfg: SolverConfig):
 # iteration
 # ----------------------------------------------------------------------
 
-def picard_step(phi: GridField, psi: GridField, eta: GridField,
-                scheme: str = "flat-split") -> GridField:
-    """One update of the correction 2-form.
+def picard_step(pot: SpectralField, psi: GridField, eta: SpectralField,
+                scheme: str = "flat-split") -> SpectralField:
+    """One update of the correction 2-form, from and to its half spectrum.
+
+    pot is the model potential, phi = phi0 + d pot: eps sigma for the
+    output of make_model_problem, so no step recomputes
+    delta Lap^-1 (phi - phi0).
 
     'flat-split' (the solver default): solve the exact rearrangement
-    A(eta + eps sigma-part) = delta0(*0 F0(chi)) with chi = (phi - phi0)
-    + d eta, using the mode-wise pseudo-inverse Lap^-2 A of
-    A = delta0 P0 d.  'joyce-literal' applies the textbook display
+    A(eta + pot) = delta0(*0 F0(chi)) with chi = d(pot + eta), using the
+    mode-wise pseudo-inverse Lap^-2 A of A = delta0 P0 d.  'joyce-literal'
+    applies the textbook display
     eta' = Lap^-1 delta(psi + f psi + *F(d eta)) with f phi = (7/3)
     pi_1(d eta); it reproduces the stated shape (eta_1 = Lap^-1 delta psi
     from eta_0 = 0) but its fixed point carries an O(eps^2) torsion
     remainder, so solve() uses the rearranged scheme.
     """
-    N = phi.N
+    N = pot.N
     ops = derivative_ops(N)
     if scheme == "flat-split":
-        chi = (phi - GridField.constant(phi0(), N)) + ops.d(eta)
-        F = _flat_split_F(chi)
-        rhs = ops.delta(_apply_matrix(_star0_matrix(4), F, 3))
-        sol = _apply_symbol_pinv(N, rhs)
-        # A acted on eta + potential(phi - phi0); peel the model part off
-        pot = _coexact_potential_of_exact3(ops, phi - GridField.constant(
-            phi0(), N))
-        return ops.mean_zero(sol - pot)
+        chi = ops.d(pot + eta).to_grid()
+        star_F = _apply_matrix(_star0_matrix(4),
+                               _flat_split_F(chi).to_spectral(), 3)
+        sol = _apply_symbol_pinv(N, ops.delta(star_F))
+        # A acted on eta + pot; peel the model part off, and keep the
+        # iterate the spectrum of the real field it stands for
+        return ops.mean_zero(sol - pot).hermitian()
     if scheme == "joyce-literal":
+        phi = GridField.constant(phi0(), N) + ops.d(pot).to_grid()
         g, _ = metric_from_g2(phi.as_form())
         phi_form = phi.as_form()
-        deta = ops.d(eta)
+        deta = ops.d(eta).to_grid()
         # f from the pi_1 projection: f phi = (7/3) pi_1(d eta)
         f_scalar = (1.0 / 3.0) * inner_product(g, deta.as_form(), phi_form)
         f_psi = GridField(3, f_scalar[None] * psi.coeffs)
         _, F_chi = theta_split(phi_form, deta.as_form())
         star_F = GridField(3, hodge_star(g, F_chi).coeffs)
-        source = psi + f_psi + star_F
-        sigma_rhs = ops.delta(source)
-        return ops.mean_zero(ops.inv_laplacian(sigma_rhs, project=True))
+        source = (psi + f_psi + star_F).to_spectral()
+        return ops.mean_zero(ops.inv_laplacian(ops.delta(source),
+                                               project=True))
     raise ValueError(f"unknown scheme {scheme}")
 
 
-def _coexact_potential_of_exact3(ops: SpectralOps, w3: GridField) -> GridField:
-    """The coexact 2-form sigma with d sigma = w3, for an exact mean-zero
-    3-form: sigma = delta Lap^-1 w3."""
-    return ops.delta(ops.inv_laplacian(w3, project=True))
-
-
 def residual(phi_tilde: GridField) -> float:
-    """max(||d phi||_Linf, ||d Theta(phi)||_Linf) on the grid (flat norms)."""
+    """max(||d phi||_Linf, ||d Theta(phi)||_Linf) on the grid (flat norms).
+    Theta raises PositivityError where phi is not a G2-structure."""
     ops = derivative_ops(phi_tilde.N)
-    metric_from_g2(phi_tilde.as_form())        # positivity gate
-    d_phi = ops.d(phi_tilde).linf()
-    d_theta = ops.d(_theta_grid(phi_tilde)).linf()
+    d_theta = ops.d(_theta_grid(phi_tilde).to_spectral()).to_grid().linf()
+    d_phi = ops.d(phi_tilde.to_spectral()).to_grid().linf()
     return max(d_phi, d_theta)
 
 
 def solve(cfg: SolverConfig):
     """Run the iteration to the torsion-free structure; returns
-    (eta, report).  On the flat torus the target is phi0 itself, so the
-    report carries both the torsion residual and the distance to phi0."""
+    (eta, report), eta as grid values.  On the flat torus the target is
+    phi0 itself, so the report carries both the torsion residual and the
+    distance to phi0."""
     ops = derivative_ops(cfg.N)
     phi, psi, sigma = make_model_problem(cfg)
-    eta = GridField.zero(2, cfg.N)
+    pot = cfg.eps * sigma
+    eta = SpectralField.zero(2, cfg.N)
     if cfg.operator_mode == "curved-cg":
         # the residual-correction updates stay in the symbol range; seed
         # the gauge-kernel component from the model potential so the
         # diffeomorphism offset is not left behind at O(eps^2)
-        pot = _coexact_potential_of_exact3(
-            ops, phi - GridField.constant(phi0(), cfg.N))
         eta = (-1.0) * _apply_kernel_projector(cfg.N, pot)
     diffs = []
     iterations = 0
     for j in range(cfg.max_iter):
         try:
             if cfg.operator_mode == "flat-background":
-                new_eta = picard_step(phi, psi, eta, scheme="flat-split")
+                new_eta = picard_step(pot, psi, eta, scheme="flat-split")
             else:
                 new_eta = _cg_step(ops, phi, eta)
         except PositivityError as exc:
             raise RuntimeError(f"iterate {j} left the G2 cone") from exc
-        step = (new_eta - eta).linf()
+        step = (new_eta - eta).to_grid().linf()
         diffs.append(step)
         eta = new_eta
         if step <= cfg.tol_residual:
@@ -483,7 +548,7 @@ def solve(cfg: SolverConfig):
         raise RuntimeError(f"max_iter = {cfg.max_iter} exceeded: last step "
                            f"{diffs[-1]:.3e} > tol {cfg.tol_residual:g}")
 
-    phi_tilde = phi + ops.d(eta)
+    phi_tilde = phi + ops.d(eta).to_grid()
     res = residual(phi_tilde)
     dist = (phi_tilde - GridField.constant(phi0(), cfg.N)).linf()
     zero_mode_gap = float(np.abs(
@@ -499,10 +564,11 @@ def solve(cfg: SolverConfig):
         "step_sizes": diffs,
         "mode": cfg.operator_mode,
     }
-    return eta, report
+    return eta.to_grid(), report
 
 
-def _cg_step(ops: SpectralOps, phi: GridField, eta: GridField) -> GridField:
+def _cg_step(ops: SpectralOps, phi: GridField,
+             eta: SpectralField) -> SpectralField:
     """Residual-correction step: eta <- eta + pinv(A) *0 d Theta(phi+d eta),
     the honest nonlinear torsion fed back through the flat preconditioner.
 
@@ -511,10 +577,11 @@ def _cg_step(ops: SpectralOps, phi: GridField, eta: GridField) -> GridField:
     residual of order eps^3 (the seed fixes the diffeomorphism offset to
     first order only).  The mode exists as the fallback; the default
     rearranged scheme is exact and is what the acceptance run uses."""
-    phi_tilde = phi + ops.d(eta)
-    d_theta = ops.d(_theta_grid(phi_tilde))                    # 5-form
-    resid2 = _apply_matrix(_star0_matrix(5), d_theta, 2)       # *0 -> 2-form
-    return ops.mean_zero(eta + _apply_symbol_pinv(ops.N, resid2))
+    phi_tilde = phi + ops.d(eta).to_grid()
+    d_theta = ops.d(_theta_grid(phi_tilde).to_spectral())      # 5-form
+    # *0 -> 2-form: the residual is a real field on the grid
+    resid2 = _apply_matrix(_star0_matrix(5), d_theta, 2).hermitian()
+    return ops.mean_zero(eta + _apply_symbol_pinv(ops.N, resid2)).hermitian()
 
 
 # ----------------------------------------------------------------------

@@ -166,7 +166,8 @@ def test_star_inner_product_compatibility():
         expected = ref_inner(g.entries, a.coeffs, b.coeffs, 7, p)
         assert np.isclose(F.inner_product(g, a, b), expected, rtol=1e-11)
         pairing = F.wedge(a, F.hodge_star(g, b)).coeffs[0]
-        assert np.isclose(pairing, expected * np.sqrt(g.det()), rtol=1e-11)
+        sqrt_det = np.sqrt(np.linalg.det(g.entries))
+        assert np.isclose(pairing, expected * sqrt_det, rtol=1e-11)
 
 
 def test_star_conformal_scaling():
@@ -346,6 +347,30 @@ def test_metric_continuity_near_phi0():
     g, _ = F.metric_from_g2(F.phi0() + 1e-3 * chi)
     assert np.abs(g.entries - np.eye(7)).max() <= 1.5 * slope * 1e-3 + 1e-8
     assert np.abs(g.entries - np.eye(7)).max() <= 1e-2
+
+
+def test_theta_factors_each_metric_once(monkeypatch):
+    # metric_from_g2's Cholesky factor of B is the only factorization:
+    # g carries sqrt(det g) = vol from it, so neither the Metric nor
+    # hodge_star factors g again
+    rng = np.random.default_rng(3)
+    phi = F.pullback(random_gl_plus(rng, (300,)), F.phi0())
+    calls = []
+    for name in ("cholesky", "det", "slogdet"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=real, _n=name,
+                            **k: calls.append(_n) or _f(*a, **k))
+    g, vol = F.metric_from_g2(phi)
+    F.theta(phi)
+    assert calls == ["cholesky", "cholesky"]
+    monkeypatch.undo()
+    assert g.sqrt_det is vol
+    assert np.allclose(vol, np.sqrt(np.linalg.det(g.entries)), rtol=1e-12)
+    # a user-built metric is still validated and factored
+    assert np.allclose(Metric(7, g.entries).sqrt_det, vol, rtol=1e-12)
+    user = random_spd_metric(7)
+    assert np.isclose(user.sqrt_det, np.sqrt(np.linalg.det(user.entries)),
+                      rtol=1e-12)
 
 
 def test_metric_rejects_non_positive():

@@ -27,3 +27,27 @@ def test_cone_calls_no_simplify():
              and getattr(node.func, "attr",
                          getattr(node.func, "id", None)) == "simplify"]
     assert found == []
+
+
+def test_fourier_transforms_only_in_the_torus_helpers():
+    # one FFT site: torus._rfft and torus._irfft fix the backend
+    # (scipy.fft) and its one worker thread for the whole package
+    names = {"rfftn", "irfftn", "fftn", "ifftn"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = [range(node.lineno, node.end_lineno + 1)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and path.name == "torus.py"
+                   and node.name in ("_rfft", "_irfft")]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr",
+                              getattr(node.func, "id", None)) in names
+                  and not any(node.lineno in lines for lines in allowed)]
+    assert found == []
+    torus = ast.parse((PACKAGE / "torus.py").read_text())
+    helpers = {node.name for node in ast.walk(torus)
+               if isinstance(node, ast.FunctionDef)}
+    assert {"_rfft", "_irfft"} <= helpers

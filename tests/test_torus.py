@@ -18,9 +18,10 @@ N = 4
 
 
 def random_field(degree, seed=0, mean_zero=True):
+    """A random real field on the N^7 grid, as its half spectrum."""
     rng = np.random.default_rng(seed)
     nc = len(F.index_list(7, degree))
-    f = T.GridField(degree, rng.normal(size=(nc,) + (N,) * 7))
+    f = T.GridField(degree, rng.normal(size=(nc,) + (N,) * 7)).to_spectral()
     return T.derivative_ops(N).mean_zero(f) if mean_zero else f
 
 
@@ -29,14 +30,30 @@ def random_field(degree, seed=0, mean_zero=True):
 # ----------------------------------------------------------------------
 
 def test_spectral_round_trip():
-    f = random_field(2, seed=1, mean_zero=False)
-    back = np.fft.irfftn(f.spectral, s=(N,) * 7, axes=tuple(range(1, 8)))
+    f = random_field(2, seed=1, mean_zero=False).to_grid()
+    spec = f.to_spectral().spec
+    back = np.fft.irfftn(spec, s=(N,) * 7, axes=tuple(range(1, 8)))
     assert np.abs(back - f.coeffs).max() < 1e-12
+    ref = np.fft.rfftn(f.coeffs, axes=tuple(range(1, 8)))
+    assert np.abs(spec - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_hermitian_is_the_spectrum_of_the_grid_values():
+    # d breaks the conjugate symmetry of a real field's half spectrum at
+    # the Nyquist modes; hermitian() restores what irfftn reads
+    ops = T.derivative_ops(N)
+    df = ops.d(random_field(2, seed=3, mean_zero=False))
+    ref = np.fft.rfftn(np.fft.irfftn(df.spec, s=(N,) * 7,
+                                     axes=tuple(range(1, 8))),
+                       axes=tuple(range(1, 8)))
+    scale = np.abs(ref).max()
+    assert np.abs(df.spec - ref).max() > 1e-3 * scale      # not vacuous
+    assert np.abs(df.hermitian().spec - ref).max() < 1e-12 * scale
 
 
 def test_parseval():
-    f = random_field(0, seed=2, mean_zero=False)
-    spec = f.spectral
+    f = random_field(0, seed=2, mean_zero=False).to_grid()
+    spec = f.to_spectral().spec
     # sum |f|^2 over the grid equals the weighted spectral energy of the
     # half-spectrum (conjugate modes double except the self-conjugate planes)
     weights = np.full(spec.shape[1:], 2.0)
@@ -52,15 +69,16 @@ def test_d_squared_zero():
     ops = T.derivative_ops(N)
     for degree in (0, 1, 2):
         f = random_field(degree, seed=degree)
-        assert ops.d(ops.d(f)).linf() < 1e-11
+        assert ops.d(ops.d(f)).to_grid().linf() < 1e-11
 
 
 def test_adjointness():
     ops = T.derivative_ops(N)
     a = random_field(2, seed=3)
     b = random_field(3, seed=4)
-    lhs = (ops.d(a).coeffs * b.coeffs).sum(axis=0).mean()
-    rhs = (a.coeffs * ops.delta(b).coeffs).sum(axis=0).mean()
+    lhs = (ops.d(a).to_grid().coeffs * b.to_grid().coeffs).sum(axis=0).mean()
+    rhs = (a.to_grid().coeffs * ops.delta(b).to_grid().coeffs).sum(
+        axis=0).mean()
     assert abs(lhs - rhs) < 1e-10 * (abs(lhs) + 1.0)
 
 
@@ -68,17 +86,17 @@ def test_laplacian_symbol():
     ops = T.derivative_ops(N)
     x = np.arange(N) / N
     grids = np.meshgrid(*[x] * 7, indexing="ij")
-    f = T.GridField.zero(2, N)
+    f = T.GridField(2, np.zeros((21,) + (N,) * 7))
     pos = index_position(7, 2)[(1, 2)]
     f.coeffs[pos] = np.sin(2 * np.pi * grids[0])
-    lap = ops.laplacian(f)
+    lap = ops.laplacian(f.to_spectral()).to_grid()
     assert np.abs(lap.coeffs[pos] - 4 * np.pi ** 2 * f.coeffs[pos]).max() < 1e-10
 
 
 def test_inv_laplacian_inverts_mean_zero():
     ops = T.derivative_ops(N)
     f = random_field(2, seed=5)
-    assert (ops.inv_laplacian(ops.laplacian(f)) - f).linf() < 1e-10
+    assert (ops.inv_laplacian(ops.laplacian(f)) - f).to_grid().linf() < 1e-10
 
 
 def test_inv_laplacian_rejects_zero_mode():
@@ -87,14 +105,14 @@ def test_inv_laplacian_rejects_zero_mode():
     with pytest.raises(ValueError):
         ops.inv_laplacian(f)
     out = ops.inv_laplacian(f, project=True)
-    assert np.abs(out.zero_mode()).max() < 1e-13
+    assert np.abs(out.to_grid().zero_mode()).max() < 1e-13
 
 
 def test_iteration_preserves_mean_zero():
     cfg = T.SolverConfig(N=N, eps=5e-3, seed=11)
     phi, psi, sigma = T.make_model_problem(cfg)
-    eta = T.picard_step(phi, psi, T.GridField.zero(2, N))
-    assert np.abs(eta.zero_mode()).max() < 1e-13
+    eta = T.picard_step(cfg.eps * sigma, psi, T.SpectralField.zero(2, N))
+    assert np.abs(eta.to_grid().zero_mode()).max() < 1e-13
 
 
 # ----------------------------------------------------------------------
@@ -156,17 +174,15 @@ def apply_A(spec):
 
 
 def apply_pinv(spec):
-    return T._apply_symbol_pinv(
-        N, T.GridField.from_spectral(2, spec, N)).spectral
+    return T._apply_symbol_pinv(N, T.SpectralField(2, spec, N)).spec
 
 
 def apply_kernel(spec):
-    return T._apply_kernel_projector(
-        N, T.GridField.from_spectral(2, spec, N)).spectral
+    return T._apply_kernel_projector(N, T.SpectralField(2, spec, N)).spec
 
 
 def random_spectrum(seed):
-    return random_field(2, seed=seed, mean_zero=False).spectral
+    return random_field(2, seed=seed, mean_zero=False).spec
 
 
 def test_pinv_and_kernel_projector_match_per_mode_pinv():
@@ -240,7 +256,7 @@ def test_model_closed_and_normalized():
     ops = T.derivative_ops(N)
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=8)
     phi, psi, sigma = T.make_model_problem(cfg)
-    assert ops.d(phi).linf() < 1e-11
+    assert ops.d(phi.to_spectral()).to_grid().linf() < 1e-11
     assert np.isclose((phi - T.GridField.constant(F.phi0(), N)).linf(),
                       cfg.eps, rtol=1e-10)
 
@@ -275,6 +291,18 @@ def test_grid_refused_before_allocation(monkeypatch):
         T.make_model_problem(T.SolverConfig(N=8))
 
 
+def test_model_potential_is_eps_sigma():
+    # the iteration takes the model potential as eps sigma instead of
+    # recomputing delta Lap^-1 (phi - phi0) at every step
+    ops = T.derivative_ops(N)
+    cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
+    phi, _, sigma = T.make_model_problem(cfg)
+    w3 = (phi - T.GridField.constant(F.phi0(), N)).to_spectral()
+    pot = ops.delta(ops.inv_laplacian(w3, project=True)).to_grid()
+    expect = (cfg.eps * sigma).to_grid()
+    assert (pot - expect).linf() <= 1e-14 * expect.linf()
+
+
 def test_model_rejects_large_eps():
     with pytest.raises(F.PositivityError):
         T.make_model_problem(T.SolverConfig(N=N, eps=0.9, seed=7))
@@ -287,19 +315,20 @@ def test_model_rejects_large_eps():
 def test_literal_first_step_is_inverse_laplacian_of_delta_psi():
     ops = T.derivative_ops(N)
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=9)
-    phi, psi, _ = T.make_model_problem(cfg)
-    eta1 = T.picard_step(phi, psi, T.GridField.zero(2, N),
+    phi, psi, sigma = T.make_model_problem(cfg)
+    eta1 = T.picard_step(cfg.eps * sigma, psi, T.SpectralField.zero(2, N),
                          scheme="joyce-literal")
-    direct = ops.inv_laplacian(ops.delta(psi), project=True)
-    assert (eta1 - ops.mean_zero(direct)).linf() < 1e-12
+    direct = ops.inv_laplacian(ops.delta(psi.to_spectral()), project=True)
+    assert (eta1 - ops.mean_zero(direct)).to_grid().linf() < 1e-12
 
 
 def test_zero_torsion_fixed_point():
     cfg = T.SolverConfig(N=N, eps=0.0, seed=10)
-    phi, psi, _ = T.make_model_problem(cfg)
+    phi, psi, sigma = T.make_model_problem(cfg)
     for scheme in ("flat-split", "joyce-literal"):
-        eta1 = T.picard_step(phi, psi, T.GridField.zero(2, N), scheme=scheme)
-        assert eta1.linf() < 1e-12
+        eta1 = T.picard_step(cfg.eps * sigma, psi, T.SpectralField.zero(2, N),
+                             scheme=scheme)
+        assert eta1.to_grid().linf() < 1e-12
 
 
 def test_solve_converges_to_flat():
@@ -347,16 +376,54 @@ def test_literal_scheme_stalls_above_quadratic_floor():
     # O(eps^2) torsion remainder; this pins why solve() rearranges
     ops = T.derivative_ops(N)
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
-    phi, psi, _ = T.make_model_problem(cfg)
-    eta = T.GridField.zero(2, N)
+    phi, psi, sigma = T.make_model_problem(cfg)
+    eta = T.SpectralField.zero(2, N)
     for _ in range(12):
-        new = T.picard_step(phi, psi, eta, scheme="joyce-literal")
-        if (new - eta).linf() < 1e-12:
+        new = T.picard_step(cfg.eps * sigma, psi, eta, scheme="joyce-literal")
+        if (new - eta).to_grid().linf() < 1e-12:
             eta = new
             break
         eta = new
-    res = T.residual(phi + ops.d(eta))
+    res = T.residual(phi + ops.d(eta).to_grid())
     assert res > 1e-6          # stuck near eps^2, far above solver tol
+
+
+def count_transforms(monkeypatch) -> dict:
+    """Count component transforms through the two FFT helpers."""
+    counts = {"forward": 0, "inverse": 0}
+
+    def counted(kind, transform):
+        def wrapper(arr, *args):
+            counts[kind] += arr.shape[0]
+            return transform(arr, *args)
+        return wrapper
+
+    monkeypatch.setattr(T, "_rfft", counted("forward", T._rfft))
+    monkeypatch.setattr(T, "_irfft", counted("inverse", T._irfft))
+    return counts
+
+
+def test_flat_split_step_transform_budget(monkeypatch):
+    # a step transforms only what the pointwise split reads: chi to the
+    # grid and *0 F back (about 260 component transforms when every
+    # operator result went back to the grid)
+    cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
+    _, psi, sigma = T.make_model_problem(cfg)
+    pot = cfg.eps * sigma
+    eta = T.picard_step(pot, psi, T.SpectralField.zero(2, N))
+    counts = count_transforms(monkeypatch)
+    T.picard_step(pot, psi, eta)
+    assert counts["forward"] > 0 and counts["inverse"] > 0
+    assert counts["forward"] + counts["inverse"] <= 112
+
+
+def test_solve_transform_budget(monkeypatch):
+    # 1218 component transforms per N = 4 solve when every operator
+    # result went back to the grid
+    counts = count_transforms(monkeypatch)
+    _, report = T.solve(T.SolverConfig(N=N, eps=1e-2, seed=7))
+    assert report["residual"] <= 1e-8
+    assert counts["forward"] + counts["inverse"] <= 720
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +431,7 @@ def test_literal_scheme_stalls_above_quadratic_floor():
 # ----------------------------------------------------------------------
 
 def test_field_dump_round_trip(tmp_path):
-    f = random_field(3, seed=21, mean_zero=False)
+    f = random_field(3, seed=21, mean_zero=False).to_grid()
     path = tmp_path / "field.bin"
     T.save_field(str(path), f)
     g = T.load_field(str(path))
