@@ -45,6 +45,23 @@ def f_sym(k=K):
     return (k + R ** 2) ** sp.Rational(1, 4)
 
 
+# u stands for f_k(r): with k = u^4 - r^2 every (k + r^2)^(p/q) is a power
+# of u, and r, u are algebraically independent
+_U = sp.Symbol("u", positive=True)
+
+
+def _over_u(c):
+    """c as one cancelled quotient of polynomials in r, u and whatever
+    other generators it has.  It is 0 exactly when c vanishes identically
+    on Q(r, f_k(r)) (with those generators adjoined)."""
+    return sp.cancel(sp.sympify(c).subs(K, _U ** 4 - R ** 2))
+
+
+def _normal(c):
+    """The exact normal form of a coefficient, written back over (r, k)."""
+    return _over_u(c).subs(_U, f_sym())
+
+
 # coframe labels: 0 = dr, 1..3 = eta^i (or hatted eta^i)
 _LABELS = (0, 1, 2, 3)
 
@@ -115,14 +132,13 @@ class RadialForm:
     # -- exterior derivative ----------------------------------------------
     def d(self) -> "RadialForm":
         """Termwise exterior derivative: d/dr on coefficients plus the
-        Maurer-Cartan structure equations on the coframe."""
+        Maurer-Cartan structure equations on the coframe; each coefficient
+        of the result is in the exact normal form."""
         sgn = FRAME_SIGN[self.frame]
         out = {}
 
         def add(mono, c):
-            c = sp.simplify(c)
-            if c != 0:
-                out[mono] = out.get(mono, 0) + c
+            out[mono] = out.get(mono, 0) + c
 
         for mono, c in self.coeffs.items():
             # radial part
@@ -143,7 +159,8 @@ class RadialForm:
                 # free, then sorts into the remaining 1-form labels
                 s = ((-1) ** pos) * sgn * pair_sign * merge_sign(pair, rest)
                 add(new, s * c)
-        return RadialForm(self.degree + 1, out, self.frame)
+        return RadialForm(self.degree + 1,
+                          {m: _normal(c) for m, c in out.items()}, self.frame)
 
     # -- conversion to the orthonormal coframe -----------------------------
     def onb_components(self) -> dict:
@@ -156,7 +173,7 @@ class RadialForm:
             fac = sp.Integer(1)
             for lab in mono:
                 fac *= conv[lab]
-            out[mono] = sp.simplify(c * fac)
+            out[mono] = _normal(c * fac)
         return out
 
     @cached_property
@@ -169,9 +186,9 @@ class RadialForm:
 
     def evaluate_onb(self, k_val, r_val) -> Form:
         """Numeric Form (dim 4, basis order dt,e1,e2,e3) at (k, r); r may
-        be an array.  The ONB conversion (with its simplify) and the
-        lambdify run once per form instance; k is a runtime argument, so
-        one compiled form serves every k."""
+        be an array.  The ONB conversion (with its exact normal form) and
+        the lambdify run once per form instance; k is a runtime argument,
+        so one compiled form serves every k."""
         r_arr = np.asarray(r_val, dtype=float)
         batch = r_arr.shape
         coeffs = np.stack([np.broadcast_to(v, batch)
@@ -189,7 +206,8 @@ class RadialForm:
                           self.frame)
 
     def is_zero(self) -> bool:
-        return all(sp.simplify(c) == 0 for c in self.coeffs.values())
+        """Exact: every coefficient cancels to 0 over u = f_k(r)."""
+        return all(_over_u(c) == 0 for c in self.coeffs.values())
 
 
 def _mono_form(degree, entries, frame="left"):
@@ -244,18 +262,25 @@ def eh_metric_coefficients(k_val, r):
 # radial distance and exceptional-sphere geometry
 # ----------------------------------------------------------------------
 
+def _check_radii(k: float, rs: np.ndarray):
+    if not k >= 0 or not np.all(np.isfinite(rs)) or np.any(rs < 0):
+        raise ValueError("need finite r >= 0 and k >= 0")
+
+
+def _converged(val: float, err: float) -> float:
+    if err > 1e-9 * max(1.0, abs(val)):
+        raise RuntimeError(f"quadrature did not converge: err={err}")
+    return val
+
+
 def radial_distance(k: float, r: float, tol: float = 1e-12) -> float:
     """d_{g_(k)}(S^2, r) = int_0^r f_k(s)^-1 ds by adaptive quadrature."""
-    if r < 0 or k < 0:
-        raise ValueError("need r >= 0 and k >= 0")
+    _check_radii(k, np.asarray(r, dtype=float))
     if r == 0.0:
         return 0.0
     if k == 0.0:
         return 2.0 * np.sqrt(r)
-    val, err = _quad_segmented(k, 0.0, r, tol)
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise RuntimeError(f"quadrature did not converge: err={err}")
-    return val
+    return _converged(*_quad_segmented(k, 0.0, r, tol))
 
 
 def _quad_segmented(k: float, lo: float, hi: float, tol: float = 1e-12):
@@ -280,19 +305,20 @@ def _quad_segmented(k: float, lo: float, hi: float, tol: float = 1e-12):
 
 
 def radial_distance_many(k: float, rs: np.ndarray) -> np.ndarray:
-    """Cumulative adaptive quadrature over a batch of radii."""
+    """Cumulative adaptive quadrature over a batch of radii, with the
+    input checks and the convergence rule of radial_distance applied to
+    each segment between consecutive radii."""
     rs = np.asarray(rs, dtype=float)
-    flat = rs.ravel()
-    order = np.argsort(flat)
-    out = np.empty_like(flat)
+    _check_radii(k, rs)
     if k == 0.0:
-        return (2.0 * np.sqrt(rs))
+        return 2.0 * np.sqrt(rs)
+    flat = rs.ravel()
+    out = np.empty_like(flat)
     prev_r, prev_d = 0.0, 0.0
-    for idx in order:
+    for idx in np.argsort(flat):
         r = flat[idx]
         if r > prev_r:
-            seg, _ = _quad_segmented(k, prev_r, r)
-            prev_d += seg
+            prev_d += _converged(*_quad_segmented(k, prev_r, r))
             prev_r = r
         out[idx] = prev_d
     return out.reshape(rs.shape)

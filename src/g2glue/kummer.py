@@ -27,7 +27,7 @@ import sympy as sp
 
 from . import eguchi_hanson as eh
 from .forms import (Form, PositivityError, hodge_star, index_list,
-                    inner_product, metric_from_g2, wedge)
+                    index_position, inner_product, metric_from_g2, wedge)
 
 __all__ = [
     "TorusIsometry", "ALPHA", "BETA", "GAMMA", "INVARIANT_PHI_TERMS",
@@ -294,14 +294,20 @@ class GluingChart:
         return 30.0 * u ** 2 * (1.0 - u) ** 2 / (hi - lo)
 
 
-def _embed_fiber(form4: Form, batch) -> Form:
-    """A 2- or 4-form on the Eguchi-Hanson fiber as a 7d form in slots 3..6."""
-    out = Form.zero(7, form4.degree, batch)
-    from .forms import index_list, index_position
-    pos7 = index_position(7, form4.degree)
-    for p4, idx in enumerate(index_list(4, form4.degree)):
-        out.coeffs[pos7[tuple(i + 3 for i in idx)]] = form4.coeffs[p4]
-    return out
+@lru_cache(maxsize=None)
+def _glue_slots():
+    """Where the fiber 2-form monomials e_ab (a < b, EH legs in slots
+    3..6) land in the glued forms: delta_i ^ e_ab for i = 0, 1, 2 in the
+    3-forms, delta_jk ^ e_ab for (j, k) = (1, 2), (0, 2), (0, 1) in the
+    4-forms.  A 2-form commutes with every form, so each wedge with the
+    delta_i is a copy into these slots."""
+    pos3, pos4 = index_position(7, 3), index_position(7, 4)
+    fiber = index_list(4, 2)
+    phi = np.array([[pos3[(i, a + 3, b + 3)] for a, b in fiber]
+                    for i in range(3)])
+    theta = np.array([[pos4[(j, k, a + 3, b + 3)] for a, b in fiber]
+                      for j, k in ((1, 2), (0, 2), (0, 1))])
+    return pos3[(0, 1, 2)], phi, theta, pos4[(3, 4, 5, 6)]
 
 
 @lru_cache(maxsize=None)
@@ -346,22 +352,20 @@ def glued_structure(t: float, rs, chart: GluingChart | None = None):
     rs = np.asarray(rs, dtype=float)
     if np.any(rs <= 0):
         raise ValueError("chart requires r > 0")
-    batch = rs.shape
     om = _fiber_two_forms(chart, rs)
-    om7 = [_embed_fiber(o, batch) for o in om]
-    delta = [Form.basis(7, (i,)) for i in range(3)]
+    vol_slot, phi_slots, theta_slots, fiber_slot = _glue_slots()
 
-    phi = wedge(wedge(delta[0], delta[1]), delta[2])
-    base = phi.coeffs.reshape((35,) + (1,) * len(batch))
-    phi = Form(7, 3, np.broadcast_to(base, (35,) + batch).copy())
+    phi = np.zeros((35,) + rs.shape)
+    phi[vol_slot] = 1.0
+    theta_t = np.zeros((35,) + rs.shape)
+    theta_t[fiber_slot] = 0.5 * wedge(om[0], om[0]).coeffs[0]
     for i in range(3):
-        phi = phi - wedge(om7[i], delta[i])
-
-    vol_fiber = 0.5 * wedge(om7[0], om7[0])
-    theta_t = vol_fiber
-    for i, (j, k) in enumerate([(1, 2), (2, 0), (0, 1)]):
-        theta_t = theta_t - wedge(om7[i], wedge(delta[j], delta[k]))
-    return phi, theta_t
+        phi[phi_slots[i]] -= om[i].coeffs
+    # delta_3 ^ delta_1 = -delta_13, so omega_tilde_2 enters with a plus
+    theta_t[theta_slots[0]] -= om[0].coeffs
+    theta_t[theta_slots[1]] += om[1].coeffs
+    theta_t[theta_slots[2]] -= om[2].coeffs
+    return Form(7, 3, phi), Form(7, 4, theta_t)
 
 
 def closedness_residual(t: float, rs) -> float:
@@ -370,11 +374,12 @@ def closedness_residual(t: float, rs) -> float:
     Both forms are closed exactly when the three fiber 2-forms are: the
     delta_i are closed and d(w ^ w) = 2 dw ^ w.  The reference triple
     (omega_1 - d(chi tau_1), omega_2, omega_3) is built symbolically with
-    chi an undefined function of r, and each form is checked closed for
-    every chi.  It is then evaluated with the chart's cutoff chi(s(r)) and
-    d/dr chi(s(r)) = chi'(s) s'(r) and compared with the triple that
-    glued_structure uses.  Returns the largest mismatch relative to the
-    size of the form, or inf if a reference form is not closed.
+    chi an undefined function of r, apart from the fiber forms that
+    glued_structure uses, and each form is checked closed for every chi.
+    It is then evaluated with the chart's cutoff chi(s(r)) and
+    d/dr chi(s(r)) = chi'(s) s'(r) and compared with that triple.
+    Returns the largest mismatch relative to the size of the form, or inf
+    if a reference form is not closed.
     """
     chart = GluingChart(t)
     rs = np.asarray(rs, dtype=float)
@@ -390,12 +395,10 @@ def closedness_residual(t: float, rs) -> float:
     resid = 0.0
     for ref, impl in zip(reference, _fiber_two_forms(chart, rs)):
         comps = ref.onb_components()
-        expected = np.zeros_like(impl.coeffs)
-        for pos, mono in enumerate(index_list(4, 2)):
-            expr = comps.get(mono, sp.S.Zero).subs(chi.diff(eh.R), chi1) \
-                .subs(chi, chi0)
-            expected[pos] = sp.lambdify((eh.R, eh.K, chi0, chi1), expr,
-                                        "numpy")(*args)
+        exprs = tuple(comps.get(mono, sp.S.Zero).subs(chi.diff(eh.R), chi1)
+                      .subs(chi, chi0) for mono in index_list(4, 2))
+        values = sp.lambdify((eh.R, eh.K, chi0, chi1), exprs, "numpy")(*args)
+        expected = np.stack([np.broadcast_to(v, rs.shape) for v in values])
         scale = max(np.abs(impl.coeffs).max(), 1e-300)
         resid = max(resid, np.abs(expected - impl.coeffs).max() / scale)
     return float(resid)

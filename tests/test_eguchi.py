@@ -73,6 +73,28 @@ def test_d_squared_zero():
     assert b.d().d().is_zero()
 
 
+def test_is_zero_decides_identities_of_the_profile():
+    # (f^2 - r)(f^2 + r) - k vanishes only through f^4 = k + r^2
+    f, r = EH.f_sym(), EH.R
+    zero = (f ** 2 - r) * (f ** 2 + r) - EH.K
+    assert EH.RadialForm(0, {(): zero}).is_zero()
+    assert EH.RadialForm(1, {(2,): zero, (3,): r * zero}).is_zero()
+    # a quotient that is equal only after rationalizing by f^4 - r^4
+    quotient = 1 / (f - r) - (f + r) * (f ** 2 + r ** 2) / (EH.K + r ** 2 - r ** 4)
+    assert EH.RadialForm(0, {(): quotient}).is_zero()
+    assert not EH.RadialForm(0, {(): zero + r * sp.Integer(10) ** -40}).is_zero()
+    assert not EH.RadialForm(2, {(0, 1): zero, (2, 3): f - f ** 2}).is_zero()
+
+
+def test_d_and_onb_components_are_in_normal_form():
+    # every coefficient that d and onb_components return is a fixed point
+    # of the normal form
+    _, _, tau1 = EH.harmonic_forms()
+    for form in (tau1.d(), EH.hyperkaehler_triple()[0]):
+        for c in list(form.coeffs.values()) + list(form.onb_components().values()):
+            assert EH._normal(c) == c
+
+
 # ----------------------------------------------------------------------
 # pointwise numerics at random (k, r)
 # ----------------------------------------------------------------------
@@ -142,6 +164,36 @@ def test_radial_distance_monotone_and_asymptotic():
     ratios = ds / np.sqrt(rs)
     assert abs(ratios[-1] - 2.0) < 1e-4
     assert abs(ratios[-1] - 2.0) < abs(ratios[-2] - 2.0) < abs(ratios[-3] - 2.0)
+
+
+@pytest.mark.parametrize("k, rs", [
+    (1.0, [0.5, -1e-3]),
+    (1.0, [0.5, np.nan]),
+    (1.0, [np.inf]),
+    (-1e-4, [0.5, 1.0]),
+    (np.nan, [0.5]),
+])
+def test_radial_distance_many_rejects_bad_input(k, rs):
+    with pytest.raises(ValueError):
+        EH.radial_distance_many(k, np.array(rs))
+    with pytest.raises(ValueError):
+        EH.radial_distance(k, rs[-1])
+
+
+def test_radial_distance_many_agrees_with_single_calls():
+    rs = np.array([[2.0, 0.0], [0.3, 2.0]])
+    ds = EH.radial_distance_many(0.5, rs)
+    assert ds[0, 1] == 0.0 and ds[0, 0] == ds[1, 1]
+    for r, d in zip(rs.ravel(), ds.ravel()):
+        assert np.isclose(d, EH.radial_distance(0.5, r), rtol=1e-12)
+
+
+def test_radial_distance_many_raises_on_a_non_converged_segment(monkeypatch):
+    monkeypatch.setattr(EH, "quad", lambda fn, a, b, **kw: (b - a, 1e-3))
+    with pytest.raises(RuntimeError):
+        EH.radial_distance_many(1.0, np.array([0.5, 2.0]))
+    with pytest.raises(RuntimeError):
+        EH.radial_distance(1.0, 2.0)
 
 
 def test_sphere_scaling_exact():

@@ -6,7 +6,8 @@ import sympy as sp
 
 from g2glue import eguchi_hanson as EH
 from g2glue import kummer as KM
-from g2glue.forms import Form, PositivityError, inner_product, metric_from_g2
+from g2glue.forms import (Form, PositivityError, index_list, index_position,
+                          inner_product, metric_from_g2, wedge)
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +152,73 @@ def test_closedness_residual(monkeypatch):
             assert KM.closedness_residual(0.05, rs) > 1e-10
 
 
+def _counting_sympy(monkeypatch, names):
+    """Count the calls to sympy.<name> for each of names."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+    return calls
+
+
+def test_closedness_residual_compiles_once_per_reference_form(monkeypatch):
+    rs = np.geomspace(1e-4, 3e-3, 50)
+    KM.closedness_residual(0.05, rs)
+    calls = _counting_sympy(monkeypatch, ("simplify", "lambdify"))
+    assert KM.closedness_residual(0.05, rs) <= 1e-10
+    assert calls["simplify"] == 0
+    assert calls["lambdify"] <= 3
+
+
+def _glued_by_wedges(t, rs, chart):
+    """phi_t and theta_t as the chain of wedges and subtractions the
+    docstring of glued_structure states, with the fiber forms embedded in
+    slots 3..6."""
+    batch = rs.shape
+
+    def embed(form4):
+        out = Form.zero(7, form4.degree, batch)
+        pos7 = index_position(7, form4.degree)
+        for p4, idx in enumerate(index_list(4, form4.degree)):
+            out.coeffs[pos7[tuple(i + 3 for i in idx)]] = form4.coeffs[p4]
+        return out
+
+    om7 = [embed(o) for o in KM._fiber_two_forms(chart, rs)]
+    delta = [Form.basis(7, (i,)) for i in range(3)]
+    phi = wedge(wedge(delta[0], delta[1]), delta[2])
+    base = phi.coeffs.reshape((35,) + (1,) * len(batch))
+    phi = Form(7, 3, np.broadcast_to(base, (35,) + batch).copy())
+    for i in range(3):
+        phi = phi - wedge(om7[i], delta[i])
+    theta_t = 0.5 * wedge(om7[0], om7[0])
+    for i, (j, k) in enumerate([(1, 2), (2, 0), (0, 1)]):
+        theta_t = theta_t - wedge(om7[i], wedge(delta[j], delta[k]))
+    return phi, theta_t
+
+
+def test_glued_structure_matches_the_wedge_chain():
+    for t in (0.004, 0.05):
+        chart = KM.GluingChart(t)
+        rs = chart.r_of_s(np.linspace(chart.zeta / 8, chart.zeta * 0.75, 200))
+        phi, theta_t = KM.glued_structure(t, rs, chart)
+        ref_phi, ref_theta = _glued_by_wedges(t, rs, chart)
+        assert phi.coeffs.shape == ref_phi.coeffs.shape
+        assert np.array_equal(phi.coeffs, ref_phi.coeffs)
+        assert theta_t.degree == 4
+        assert np.abs(theta_t.coeffs - ref_theta.coeffs).max() \
+            <= 1e-15 * np.abs(ref_theta.coeffs).max()
+    # a batch of shape (2, n), as the gradient's r +- delta call makes
+    rs2 = np.stack([rs, 1.01 * rs])
+    assert np.array_equal(KM.glued_structure(t, rs2, chart)[0].coeffs,
+                          _glued_by_wedges(t, rs2, chart)[0].coeffs)
+
+
 def test_fiber_forms_compiled_match_symbolic():
     # the cached evaluators against the symbolic onb_components, evaluated
     # by sympy at 30 digits, at random (k, r)
@@ -170,16 +238,7 @@ def test_warm_torsion_form_compiles_nothing(monkeypatch):
     chart = KM.GluingChart(t)
     rs = chart.r_of_s(np.linspace(chart.zeta / 4, chart.zeta / 2, 50))
     cold = KM.torsion_form(t, rs, chart)
-    calls = {"simplify": 0, "lambdify": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+    calls = _counting_sympy(monkeypatch, ("simplify", "lambdify"))
     warm = KM.torsion_form(t, rs, chart)
     assert calls == {"simplify": 0, "lambdify": 0}
     assert np.array_equal(warm[0].coeffs, cold[0].coeffs)
