@@ -28,6 +28,12 @@ residual vanishes with the iteration error, independent of grid effects.
 
 A 'cg' mode repeats the correction against the honest nonlinear residual
 *0 d Theta(phi + d eta) with the same spectral preconditioner.
+
+A field has one representation at a time.  Grid values are a forms.Form
+whose batch shape is the (N,)*7 grid, so the pointwise G2 algebra (theta,
+the metric, hodge_star with g) takes them as they are; a SpectralField
+holds a half spectrum, on which the derivative operators act.
+to_spectral() and SpectralField.to_grid() convert between the two.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .forms import (Form, Metric, PositivityError, hodge_star, index_list,
                     phi0, star_phi0, theta, theta_split, wedge)
 
 __all__ = [
-    "GridField", "SpectralField", "SolverConfig", "SpectralOps",
+    "SpectralField", "to_spectral", "constant", "SolverConfig", "SpectralOps",
     "derivative_ops",
     "make_model_problem", "picard_step", "solve", "residual",
     "flat_t_matrix", "save_field", "load_field", "GridTooLargeError",
@@ -80,55 +86,23 @@ def _irfft(spec: np.ndarray, N: int) -> np.ndarray:
 # fields: grid values and half spectra
 # ----------------------------------------------------------------------
 
-class GridField:
-    """Degree-p form field on the N^7 periodic lattice by its grid values.
+def to_spectral(field: Form) -> "SpectralField":
+    """Half spectrum of a field's grid values, coeffs (ncomp, N, ..., N)."""
+    return SpectralField(field.degree, _rfft(field.coeffs),
+                         field.coeffs.shape[1])
 
-    coeffs: real array (ncomp, N, ..., N).  The pointwise maps (theta,
-    the metric, hodge_star with g), the L^inf norms and the dump read
-    these values; to_spectral() transforms them, once per call.
-    """
 
-    def __init__(self, degree: int, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=float)
-        nc = len(index_list(7, degree))
-        if coeffs.ndim != 8 or coeffs.shape[0] != nc:
-            raise ValueError(f"expected (ncomp={nc}, N^7) array")
-        if len(set(coeffs.shape[1:])) != 1:
-            raise ValueError("grid must be cubical")
-        self.degree = degree
-        self.coeffs = coeffs
-        self.N = coeffs.shape[1]
+def constant(form: Form, N: int) -> Form:
+    """The grid values of a constant field: form at every point."""
+    nc = form.coeffs.shape[0]
+    arr = np.empty((nc,) + (N,) * 7)
+    arr[:] = form.coeffs.reshape((nc,) + (1,) * 7)
+    return Form(7, form.degree, arr)
 
-    @classmethod
-    def constant(cls, form: Form, N: int) -> "GridField":
-        nc = form.coeffs.shape[0]
-        arr = np.empty((nc,) + (N,) * 7)
-        arr[:] = form.coeffs.reshape((nc,) + (1,) * 7)
-        return cls(form.degree, arr)
 
-    def to_spectral(self) -> "SpectralField":
-        return SpectralField(self.degree, _rfft(self.coeffs), self.N)
-
-    def as_form(self) -> Form:
-        return Form(7, self.degree, self.coeffs)
-
-    def zero_mode(self) -> np.ndarray:
-        """Grid average of each component (the constant Fourier mode)."""
-        return self.coeffs.mean(axis=_GRID_AXES)
-
-    def linf(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-    def __add__(self, other):
-        return GridField(self.degree, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return GridField(self.degree, self.coeffs - other.coeffs)
-
-    def __mul__(self, s):
-        return GridField(self.degree, s * self.coeffs)
-
-    __rmul__ = __mul__
+def _linf(field: Form) -> float:
+    """Largest absolute grid value over all components."""
+    return float(np.abs(field.coeffs).max())
 
 
 class SpectralField:
@@ -136,7 +110,7 @@ class SpectralField:
 
     spec: complex array (ncomp, N, ..., N, N // 2 + 1), the rfftn of the
     grid values over the seven grid axes.  The derivative operators act
-    here; to_grid() transforms back, once per call.
+    here; to_grid() transforms back to grid values, a Form, once per call.
     """
 
     def __init__(self, degree: int, spec: np.ndarray, N: int):
@@ -154,8 +128,8 @@ class SpectralField:
         return cls(degree, np.zeros((nc,) + (N,) * 6 + (N // 2 + 1,),
                                     dtype=complex), N)
 
-    def to_grid(self) -> GridField:
-        return GridField(self.degree, _irfft(self.spec, self.N))
+    def to_grid(self) -> Form:
+        return Form(7, self.degree, _irfft(self.spec, self.N))
 
     def hermitian(self) -> "SpectralField":
         """The half spectrum of the real field to_grid() returns.
@@ -344,20 +318,14 @@ def _apply_matrix(M: np.ndarray, field: SpectralField,
                          field.N)
 
 
-def _theta_grid(field3: GridField) -> GridField:
-    """Pointwise nonlinear dual of a 3-form field (the expensive map)."""
-    dual = theta(field3.as_form())
-    return GridField(4, dual.coeffs)
-
-
-def _flat_split_F(chi: GridField) -> GridField:
+def _flat_split_F(chi: Form) -> Form:
     """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field."""
     const = (slice(None),) + (None,) * 7
-    theta_full = _theta_grid(GridField(3, phi0().coeffs[const] + chi.coeffs))
+    theta_full = theta(Form(7, 3, phi0().coeffs[const] + chi.coeffs))
     F = star_phi0().coeffs[const] - np.tensordot(flat_t_matrix(), chi.coeffs,
                                                  axes=1)
     F -= theta_full.coeffs
-    return GridField(4, F)
+    return Form(7, 4, F)
 
 
 # ----------------------------------------------------------------------
@@ -422,33 +390,32 @@ def make_model_problem(cfg: SolverConfig):
             f"{avail / 2 ** 30:.1f} GiB available")
     ops = derivative_ops(cfg.N)
     rng = np.random.default_rng(cfg.seed)
-    raw = GridField(2, rng.normal(size=(21,) + (cfg.N,) * 7)).to_spectral()
+    raw = to_spectral(Form(7, 2, rng.normal(size=(21,) + (cfg.N,) * 7)))
     band = ops.mean_zero(ops.band_limit(raw, max(1, cfg.N // 4)))
     # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops)
     sigma = ops.delta(ops.inv_laplacian(ops.d(band), project=True))
     dsig = ops.d(sigma).to_grid()
-    scale = dsig.linf()
+    scale = _linf(dsig)
     if scale == 0.0:
         raise RuntimeError("degenerate random draw")
     sigma = (1.0 / scale) * sigma
     dsig = (1.0 / scale) * dsig
 
-    phi = GridField.constant(phi0(), cfg.N) + cfg.eps * dsig
+    phi = constant(phi0(), cfg.N) + cfg.eps * dsig
     try:
-        g, _ = metric_from_g2(phi.as_form())
+        g, _ = metric_from_g2(phi)
     except PositivityError as exc:
         raise PositivityError(
             "eps too large: phi leaves the G2 cone on the grid") from exc
-    theta_phi = GridField(4, hodge_star(g, phi.as_form()).coeffs)
-    mismatch = theta_phi - GridField.constant(star_phi0(), cfg.N)
-    psi = GridField(3, hodge_star(g, mismatch.as_form()).coeffs)
+    theta_phi = hodge_star(g, phi)
+    psi = hodge_star(g, theta_phi - constant(star_phi0(), cfg.N))
 
     # compatibility: both coderivatives w.r.t. g(phi); identical pipelines
-    def dstar(field4: GridField) -> np.ndarray:
-        d5 = ops.d(field4.to_spectral()).to_grid()
-        return hodge_star(g, d5.as_form()).coeffs
+    def dstar(field4: Form) -> np.ndarray:
+        d5 = ops.d(to_spectral(field4)).to_grid()
+        return hodge_star(g, d5).coeffs
 
-    dstar_psi = dstar(GridField(4, hodge_star(g, psi.as_form()).coeffs))
+    dstar_psi = dstar(hodge_star(g, psi))
     dstar_phi = dstar(theta_phi)
     denom = np.abs(dstar_phi).max() + 1e-30
     compat = float(np.abs(dstar_psi - dstar_phi).max() / denom)
@@ -461,7 +428,7 @@ def make_model_problem(cfg: SolverConfig):
 # iteration
 # ----------------------------------------------------------------------
 
-def picard_step(pot: SpectralField, psi: GridField, eta: SpectralField,
+def picard_step(pot: SpectralField, psi: Form, eta: SpectralField,
                 scheme: str = "flat-split") -> SpectralField:
     """One update of the correction 2-form, from and to its half spectrum.
 
@@ -483,33 +450,31 @@ def picard_step(pot: SpectralField, psi: GridField, eta: SpectralField,
     if scheme == "flat-split":
         chi = ops.d(pot + eta).to_grid()
         star_F = _apply_matrix(_star0_matrix(4),
-                               _flat_split_F(chi).to_spectral(), 3)
+                               to_spectral(_flat_split_F(chi)), 3)
         sol = _apply_symbol_pinv(N, ops.delta(star_F))
         # A acted on eta + pot; peel the model part off, and keep the
         # iterate the spectrum of the real field it stands for
         return ops.mean_zero(sol - pot).hermitian()
     if scheme == "joyce-literal":
-        phi = GridField.constant(phi0(), N) + ops.d(pot).to_grid()
-        g, _ = metric_from_g2(phi.as_form())
-        phi_form = phi.as_form()
+        phi = constant(phi0(), N) + ops.d(pot).to_grid()
+        g, _ = metric_from_g2(phi)
         deta = ops.d(eta).to_grid()
         # f from the pi_1 projection: f phi = (7/3) pi_1(d eta)
-        f_scalar = (1.0 / 3.0) * inner_product(g, deta.as_form(), phi_form)
-        f_psi = GridField(3, f_scalar[None] * psi.coeffs)
-        _, F_chi = theta_split(phi_form, deta.as_form())
-        star_F = GridField(3, hodge_star(g, F_chi).coeffs)
-        source = (psi + f_psi + star_F).to_spectral()
+        f_scalar = (1.0 / 3.0) * inner_product(g, deta, phi)
+        f_psi = Form(7, 3, f_scalar[None] * psi.coeffs)
+        _, F_chi = theta_split(phi, deta)
+        source = to_spectral(psi + f_psi + hodge_star(g, F_chi))
         return ops.mean_zero(ops.inv_laplacian(ops.delta(source),
                                                project=True))
     raise ValueError(f"unknown scheme {scheme}")
 
 
-def residual(phi_tilde: GridField) -> float:
+def residual(phi_tilde: Form) -> float:
     """max(||d phi||_Linf, ||d Theta(phi)||_Linf) on the grid (flat norms).
     Theta raises PositivityError where phi is not a G2-structure."""
-    ops = derivative_ops(phi_tilde.N)
-    d_theta = ops.d(_theta_grid(phi_tilde).to_spectral()).to_grid().linf()
-    d_phi = ops.d(phi_tilde.to_spectral()).to_grid().linf()
+    ops = derivative_ops(phi_tilde.coeffs.shape[1])
+    d_theta = _linf(ops.d(to_spectral(theta(phi_tilde))).to_grid())
+    d_phi = _linf(ops.d(to_spectral(phi_tilde)).to_grid())
     return max(d_phi, d_theta)
 
 
@@ -537,7 +502,7 @@ def solve(cfg: SolverConfig):
                 new_eta = _cg_step(ops, phi, eta)
         except PositivityError as exc:
             raise RuntimeError(f"iterate {j} left the G2 cone") from exc
-        step = (new_eta - eta).to_grid().linf()
+        step = _linf((new_eta - eta).to_grid())
         diffs.append(step)
         eta = new_eta
         if step <= cfg.tol_residual:
@@ -550,9 +515,10 @@ def solve(cfg: SolverConfig):
 
     phi_tilde = phi + ops.d(eta).to_grid()
     res = residual(phi_tilde)
-    dist = (phi_tilde - GridField.constant(phi0(), cfg.N)).linf()
+    dist = _linf(phi_tilde - constant(phi0(), cfg.N))
+    # the grid mean of each component is its constant Fourier mode
     zero_mode_gap = float(np.abs(
-        phi_tilde.zero_mode() - phi0().coeffs).max())
+        phi_tilde.coeffs.mean(axis=_GRID_AXES) - phi0().coeffs).max())
     contraction = [diffs[i + 1] / diffs[i]
                    for i in range(len(diffs) - 1) if diffs[i] > 0]
     report = {
@@ -567,7 +533,7 @@ def solve(cfg: SolverConfig):
     return eta.to_grid(), report
 
 
-def _cg_step(ops: SpectralOps, phi: GridField,
+def _cg_step(ops: SpectralOps, phi: Form,
              eta: SpectralField) -> SpectralField:
     """Residual-correction step: eta <- eta + pinv(A) *0 d Theta(phi+d eta),
     the honest nonlinear torsion fed back through the flat preconditioner.
@@ -578,7 +544,7 @@ def _cg_step(ops: SpectralOps, phi: GridField,
     first order only).  The mode exists as the fallback; the default
     rearranged scheme is exact and is what the acceptance run uses."""
     phi_tilde = phi + ops.d(eta).to_grid()
-    d_theta = ops.d(_theta_grid(phi_tilde).to_spectral())      # 5-form
+    d_theta = ops.d(to_spectral(theta(phi_tilde)))      # 5-form
     # *0 -> 2-form: the residual is a real field on the grid
     resid2 = _apply_matrix(_star0_matrix(5), d_theta, 2).hermitian()
     return ops.mean_zero(eta + _apply_symbol_pinv(ops.N, resid2)).hermitian()
@@ -588,17 +554,17 @@ def _cg_step(ops: SpectralOps, phi: GridField,
 # binary field dump
 # ----------------------------------------------------------------------
 
-def save_field(path: str, field: GridField):
+def save_field(path: str, field: Form):
     """Little-endian layout: header '<II' (N, degree), then the float64
     coefficient array, component-major then row-major grid order."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", field.N, field.degree))
+        fh.write(struct.pack("<II", field.coeffs.shape[1], field.degree))
         fh.write(np.ascontiguousarray(field.coeffs, dtype="<f8").tobytes())
 
 
-def load_field(path: str) -> GridField:
+def load_field(path: str) -> Form:
     with open(path, "rb") as fh:
         N, degree = struct.unpack("<II", fh.read(8))
         nc = len(index_list(7, degree))
         data = np.frombuffer(fh.read(), dtype="<f8")
-    return GridField(degree, data.reshape((nc,) + (N,) * 7).copy())
+    return Form(7, degree, data.reshape((nc,) + (N,) * 7).copy())
