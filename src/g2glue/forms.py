@@ -503,14 +503,17 @@ def metric_from_g2(phi: Form):
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("metric_from_g2 expects a 3-form in dimension 7")
     batch = phi.batch_shape
-    B = _bryant_b(phi.coeffs.reshape(35, -1)).reshape(batch + (7, 7))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a B that overflows, or holds NaN, fails the gate below
+        B = _bryant_b(phi.coeffs.reshape(35, -1)).reshape(batch + (7, 7))
     try:
         detB = np.prod(np.diagonal(np.linalg.cholesky(B), axis1=-2, axis2=-1),
                        axis=-1) ** 2
     except np.linalg.LinAlgError:
         raise PositivityError("3-form is not a G2-structure (B not definite)") from None
-    if np.any(detB <= 0.0):
-        raise PositivityError("3-form is not a G2-structure (det B <= 0)")
+    # written so that a NaN det B fails too: cholesky does not raise on NaN
+    if not np.all(detB > 0.0):
+        raise PositivityError("3-form is not a G2-structure (det B not > 0)")
     g_entries = 6.0 ** (-2.0 / 9.0) * detB[..., None, None] ** (-1.0 / 9.0) * B
     vol = 6.0 ** (-7.0 / 9.0) * detB ** (1.0 / 9.0)
     return Metric._proved(g_entries, vol), vol

@@ -47,6 +47,23 @@ def test_summary_higher_is_better_and_gap_within_spread():
     assert not out["gain_holds"] and out["within_bound"]
 
 
+def test_summary_unresolved_where_the_parent_spread_exceeds_the_bound():
+    # the parent's quartiles span 0.3 of its median against a 0.05 bound:
+    # a median 2 % worse is within the bound but cannot be read
+    parent = [100.0, 110.0, 90.0, 120.0, 80.0, 100.0, 110.0, 90.0, 120.0, 80.0]
+    change = [p + 2.0 for p in parent]
+    out = bench_pr.summarize(list(zip(parent, change)), "lower", 0.05)
+    assert out["parent_iqr"] / out["parent"]["median"] > 0.05
+    assert out["within_bound"] and out["unresolved"]
+    # unless every change run beats every parent run
+    out = bench_pr.summarize(list(zip(parent, [70.0] * 10)), "lower", 0.05)
+    assert out["gain_holds"] and not out["unresolved"]
+    # a clear gain with a spread inside the bound is resolved
+    out = bench_pr.summarize([(8.0 + 0.01 * i, 3.0) for i in range(10)],
+                             "lower", 0.25)
+    assert not out["unresolved"]
+
+
 def test_summary_rejects_an_unknown_direction():
     with pytest.raises(ValueError):
         bench_pr.summarize([(1.0, 1.0), (2.0, 2.0)], "faster", 0.25)

@@ -148,6 +148,14 @@ def test_torus_eps_outside_cone_rejected(capsys):
     assert run_cli(["torus", "solve", "--n", "4", "--eps", "2"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "G2 cone" in err
+    # 1e300 overflows B to inf and NaN, which cholesky lets through;
+    # a non-finite eps is refused before any grid is built
+    for eps, reason in (("1e300", "G2 cone"), ("nan", "finite"),
+                        ("inf", "finite")):
+        assert run_cli(["torus", "solve", "--n", "4", "--eps", eps]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and reason in err
+        assert "Traceback" not in err
 
 
 def test_eh_decay_k_domain_rejected(capsys):

@@ -380,6 +380,19 @@ def test_metric_rejects_non_positive():
         F.metric_from_g2(Form.basis(7, (0, 1, 2)))
 
 
+def test_metric_rejects_non_finite():
+    # cholesky returns NaN for a NaN matrix instead of raising, so the
+    # gate itself must read NaN (and the inf - inf of an inf 3-form) as
+    # failure, also at one point of an otherwise positive batch
+    for bad in (np.nan, np.inf):
+        with pytest.raises(F.PositivityError):
+            F.metric_from_g2(Form(7, 3, np.full(35, bad)))
+        coeffs = np.repeat(F.phi0().coeffs[:, None], 3, axis=1)
+        coeffs[0, 1] = bad
+        with pytest.raises(F.PositivityError):
+            F.metric_from_g2(Form(7, 3, coeffs))
+
+
 def random_gl_plus(rng, batch):
     """Q1 diag(s) Q2 with Haar-like orthogonal Q1, Q2, singular values s
     in [1/2, 2] and the first row flipped where det < 0: a random element

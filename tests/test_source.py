@@ -54,3 +54,15 @@ def test_fourier_transforms_only_in_the_torus_helpers():
     helpers = {node.name for node in ast.walk(torus)
                if isinstance(node, ast.FunctionDef)}
     assert {"_rfft", "_irfft"} <= helpers
+
+
+def test_torus_builds_no_sign_tables():
+    # d and delta read forms._wedge_table(7, 1, p), so there is one table
+    # of exterior-product signs; torus.py builds none of its own
+    tree = ast.parse((PACKAGE / "torus.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {getattr(node, "attr", getattr(node, "id", None))
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not names & {"merge_sign", "sort_index"}

@@ -19,7 +19,9 @@ output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, the pairs the change won, and the verdicts of the
 claim rule (at least 9 of 10 pairs won and a median gap larger than the
 parent's interquartile distance) and of the no-regression rule (the
-metric's bound from BENCHMARK.json), plus run.py's `environment` block.
+metric's bound from BENCHMARK.json), with the metric marked unresolved
+where the parent's own spread is wider than that bound, plus run.py's
+`environment` block.
 Standard library only.
 """
 
@@ -57,7 +59,10 @@ def summarize(pairs: list[tuple[float, float]], better: str,
     the median the benchmark tolerates.  A pair is won when the change is
     strictly better; ties count for neither side.  The gain holds when at
     least nine tenths of the pairs are won and the medians differ by more
-    than the parent's interquartile distance.
+    than the parent's interquartile distance.  The metric is unresolved
+    when that distance, relative to the parent's median, is wider than
+    the bound, unless every run of the change is better than every run
+    of the parent: within_bound then cannot tell a regression from noise.
     """
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
@@ -69,6 +74,9 @@ def summarize(pairs: list[tuple[float, float]], better: str,
     gap = sign * (parent["median"] - change["median"])
     spread = parent["q3"] - parent["q1"]
     worse = -gap / abs(parent["median"]) if parent["median"] else 0.0
+    rel_spread = spread / abs(parent["median"]) if parent["median"] else 0.0
+    separated = all(sign * (p - c) > 0
+                    for p in parent["runs"] for c in change["runs"])
     return {
         "parent": parent,
         "change": change,
@@ -82,6 +90,7 @@ def summarize(pairs: list[tuple[float, float]], better: str,
         "bound": bound,
         "gain_holds": won >= 0.9 * len(pairs) and gap > spread,
         "within_bound": worse <= bound,
+        "unresolved": rel_spread > bound and not separated,
     }
 
 
