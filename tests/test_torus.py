@@ -251,7 +251,7 @@ def test_symbol_squares_to_minus_laplacian_times_symbol(m):
     m = np.asarray(m)
     top = np.abs(m).max()
     if top > 0.0:
-        m = m / top
+        m = m / top                     # so that |m| cannot underflow
         m = m / np.linalg.norm(m)
     A = symbol_matrix(m)
     lap = 4 * np.pi ** 2 * float(np.dot(m, m))
