@@ -411,10 +411,12 @@ def torsion_form(t: float, rs, chart: GluingChart | None = None):
     chart = chart or GluingChart(t)
     rs = np.asarray(rs, dtype=float)
     phi, theta_t = glued_structure(t, rs, chart)
-    g, _ = metric_from_g2(phi)
+    g, vol = metric_from_g2(phi)
     mismatch = hodge_star(g, phi) - theta_t         # Theta(phi) with this g
     psi = hodge_star(g, mismatch)
-    norms = np.sqrt(np.maximum(inner_product(g, psi, psi), 0.0))
+    # |psi|^2 vol = psi ^ *psi, and *psi = **mismatch = mismatch since
+    # ** = id in dimension 7: no third star is taken
+    norms = np.sqrt(np.maximum(wedge(psi, mismatch).coeffs[0] / vol, 0.0))
     return psi, norms, g
 
 

@@ -45,9 +45,10 @@ import struct
 import numpy as np
 import scipy.fft
 
-from .forms import (Form, Metric, PositivityError, _wedge_table, hodge_star,
-                    index_list, inner_product, metric_from_g2, phi0,
-                    star_phi0, theta, theta_split, wedge)
+from .forms import (_THETA_BLOCK, Form, Metric, PositivityError,
+                    _wedge_table, hodge_star, index_list, inner_product,
+                    metric_from_g2, phi0, star_phi0, theta, theta_split,
+                    wedge)
 
 __all__ = [
     "SpectralField", "to_spectral", "constant", "SolverConfig", "SpectralOps",
@@ -65,6 +66,8 @@ TWO_PI = 2.0 * np.pi
 
 _GRID_AXES = tuple(range(1, 8))
 _ZERO_MODE = (slice(None),) + (0,) * 7
+# a constant form's (ncomp,) coefficients, broadcast over the grid axes
+_CONST = (slice(None),) + (None,) * 7
 
 
 def _rfft(coeffs: np.ndarray) -> np.ndarray:
@@ -72,14 +75,22 @@ def _rfft(coeffs: np.ndarray) -> np.ndarray:
 
     _rfft and _irfft are the package's only Fourier transforms.  They run
     on one worker thread, as the BLAS calls do in a timed run, so that a
-    solve uses one core.
+    solve uses one core, and one component at a time into one output, so
+    that the transform's own work arrays are one component's size.
     """
-    return scipy.fft.rfftn(coeffs, axes=_GRID_AXES, workers=1)
+    N = coeffs.shape[1]
+    out = np.empty(coeffs.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    for i, comp in enumerate(coeffs):
+        out[i] = scipy.fft.rfftn(comp, workers=1)
+    return out
 
 
 def _irfft(spec: np.ndarray, N: int) -> np.ndarray:
     """Real (ncomp, N^7) grid values of a half spectrum."""
-    return scipy.fft.irfftn(spec, s=(N,) * 7, axes=_GRID_AXES, workers=1)
+    out = np.empty((spec.shape[0],) + (N,) * 7)
+    for i, comp in enumerate(spec):
+        out[i] = scipy.fft.irfftn(comp, s=(N,) * 7, workers=1)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -100,9 +111,11 @@ def constant(form: Form, N: int) -> Form:
     return Form(7, form.degree, arr)
 
 
-def _linf(field: Form) -> float:
-    """Largest absolute grid value over all components."""
-    return float(np.abs(field.coeffs).max())
+def _linf(field: SpectralField) -> float:
+    """Largest absolute grid value over all components, each component
+    taken to the grid on its own: no grid values of the whole field."""
+    return max(float(np.abs(_irfft(comp[None], field.N)).max())
+               for comp in field.spec)
 
 
 class SpectralField:
@@ -143,9 +156,10 @@ class SpectralField:
         planes = [0, self.N // 2] if self.N % 2 == 0 else [0]
         axes = tuple(range(1, 7))
         spec = self.spec.copy()
-        sub = spec[..., planes]
-        mirror = np.roll(np.flip(sub, axis=axes), 1, axis=axes)
-        spec[..., planes] = 0.5 * (sub + mirror.conj())
+        for k in planes:            # one plane at a time: small temporaries
+            sub = self.spec[..., k]
+            mirror = np.roll(np.flip(sub, axis=axes), 1, axis=axes)
+            spec[..., k] = 0.5 * (sub + mirror.conj())
         return SpectralField(self.degree, spec, self.N)
 
     def __add__(self, other):
@@ -276,16 +290,18 @@ def _apply_symbol(ops: SpectralOps, spec: np.ndarray) -> np.ndarray:
     """A = delta0 P0 d on the spectrum of a 2-form: the real symbol
     4 pi^2 (m -|) P0 (m ^), mode by mode and never assembled.  Its kernel
     holds the d-closed directions and the diffeomorphism gauge modes."""
-    p0_dx = np.tensordot(flat_p_matrix(), ops._m_action(spec, 2, 3, 1.0),
-                         axes=1)
-    return ops._m_action(p0_dx, 3, 2, TWO_PI ** 2)
+    dx = ops._m_action(spec, 2, 3, 1.0)
+    for k in range(ops.N):      # P0 in place, one slab of modes at a time
+        dx[:, k] = np.tensordot(flat_p_matrix(), dx[:, k], axes=1)
+    return ops._m_action(dx, 3, 2, TWO_PI ** 2)
 
 
 def _apply_symbol_pinv(N: int, field: SpectralField) -> SpectralField:
     """A^+ = Lap^-2 A, mode by mode; 0 on the zero mode."""
     ops = derivative_ops(N)
-    return SpectralField(
-        2, _apply_symbol(ops, field.spec) / ops.lap_nonzero ** 2, N)
+    spec = _apply_symbol(ops, field.spec)
+    spec /= ops.lap_nonzero ** 2
+    return SpectralField(2, spec, N)
 
 
 def _apply_kernel_projector(N: int, field: SpectralField) -> SpectralField:
@@ -305,13 +321,19 @@ def _apply_matrix(M: np.ndarray, field: SpectralField,
 
 
 def _flat_split_F(chi: Form) -> Form:
-    """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field."""
-    const = (slice(None),) + (None,) * 7
-    theta_full = theta(Form(7, 3, phi0().coeffs[const] + chi.coeffs))
-    F = star_phi0().coeffs[const] - np.tensordot(flat_t_matrix(), chi.coeffs,
-                                                 axes=1)
-    F -= theta_full.coeffs
-    return Form(7, 4, F)
+    """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field.
+
+    Written one theta block of points at a time into one array, so no
+    grid-sized phi0 + chi, Theta or T0 chi exists."""
+    chi_pts = chi.coeffs.reshape(35, -1)
+    F = np.empty(chi_pts.shape)
+    p0, star0 = phi0().coeffs[:, None], star_phi0().coeffs[:, None]
+    for lo in range(0, chi_pts.shape[1], _THETA_BLOCK):
+        c = chi_pts[:, lo:lo + _THETA_BLOCK]
+        F_pts = F[:, lo:lo + _THETA_BLOCK]
+        np.subtract(star0, flat_t_matrix() @ c, out=F_pts)
+        F_pts -= theta(Form(7, 3, p0 + c)).coeffs
+    return Form(7, 4, F.reshape(chi.coeffs.shape))
 
 
 # ----------------------------------------------------------------------
@@ -340,9 +362,11 @@ class SolverConfig:
             raise ValueError("unknown operator mode")
 
 
-# Peak RSS of a solve above the interpreter's, per grid point: 4513 B at
-# N = 6 and 5876 B at N = 4, where a fixed ~22 MB weighs in; rounded up.
-_PEAK_BYTES_PER_POINT = 4600
+# Peak RSS of a solve per grid point: the slope of ru_maxrss between an
+# N = 4 and an N = 6 solve in fresh processes, 1282 B, with a quarter on
+# top for allocator slack.  solve holds no grid-sized phi, psi, metric or
+# 4-form; its peak is in the spectral chains of _model_sigma and a step.
+_PEAK_BYTES_PER_POINT = 1600
 
 
 class GridTooLargeError(MemoryError):
@@ -361,6 +385,43 @@ def _mem_available() -> int | None:
     return None
 
 
+def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
+    """sigma and the grid values of d sigma for the model problem, after
+    the memory refusal and the positivity gate on phi0 + eps d sigma.
+
+    The gate takes the metric one theta block of points at a time, so
+    phi is never held as grid values here."""
+    need, avail = _PEAK_BYTES_PER_POINT * cfg.N ** 7, _mem_available()
+    if avail is not None and need > avail:
+        raise GridTooLargeError(
+            f"N = {cfg.N} needs about {need / 2 ** 30:.1f} GiB, "
+            f"{avail / 2 ** 30:.1f} GiB available")
+    ops = derivative_ops(cfg.N)
+    rng = np.random.default_rng(cfg.seed)
+    raw = Form(7, 2, rng.normal(size=(21,) + (cfg.N,) * 7))
+    # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops);
+    # nested, so that each spectrum is freed once read
+    sigma = ops.delta(ops.inv_laplacian(ops.d(ops.mean_zero(ops.band_limit(
+        to_spectral(raw), max(1, cfg.N // 4)))), project=True))
+    del raw
+    dsig = ops.d(sigma).to_grid()
+    scale = float(np.abs(dsig.coeffs).max())
+    if scale == 0.0:
+        raise RuntimeError("degenerate random draw")
+    sigma = (1.0 / scale) * sigma
+    dsig.coeffs[:] *= 1.0 / scale
+    dsig_pts = dsig.coeffs.reshape(35, -1)
+    p0 = phi0().coeffs[:, None]
+    try:
+        for lo in range(0, dsig_pts.shape[1], _THETA_BLOCK):
+            metric_from_g2(Form(7, 3, p0 + cfg.eps
+                                * dsig_pts[:, lo:lo + _THETA_BLOCK]))
+    except PositivityError as exc:
+        raise PositivityError(
+            "eps too large: phi leaves the G2 cone on the grid") from exc
+    return sigma, dsig
+
+
 def make_model_problem(cfg: SolverConfig):
     """phi = phi0 + eps d sigma for a random band-limited coexact 2-form
     sigma with || d sigma ||_Linf = 1, and the torsion bookkeeping 3-form
@@ -370,31 +431,14 @@ def make_model_problem(cfg: SolverConfig):
     raises PositivityError where phi is not a G2-structure at some grid
     point.  delta_g psi = delta_g phi holds by construction: ** = id in
     dimension 7 and *0 phi0 is constant, so d *psi = d Theta(phi).
+    solve() takes sigma and the gate from _model_sigma alone and builds
+    neither phi nor psi as grid values; psi is for the 'joyce-literal'
+    scheme and for callers of this function.
     """
-    need, avail = _PEAK_BYTES_PER_POINT * cfg.N ** 7, _mem_available()
-    if avail is not None and need > avail:
-        raise GridTooLargeError(
-            f"N = {cfg.N} needs about {need / 2 ** 30:.1f} GiB, "
-            f"{avail / 2 ** 30:.1f} GiB available")
-    ops = derivative_ops(cfg.N)
-    rng = np.random.default_rng(cfg.seed)
-    raw = to_spectral(Form(7, 2, rng.normal(size=(21,) + (cfg.N,) * 7)))
-    band = ops.mean_zero(ops.band_limit(raw, max(1, cfg.N // 4)))
-    # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops)
-    sigma = ops.delta(ops.inv_laplacian(ops.d(band), project=True))
-    dsig = ops.d(sigma).to_grid()
-    scale = _linf(dsig)
-    if scale == 0.0:
-        raise RuntimeError("degenerate random draw")
-    sigma = (1.0 / scale) * sigma
-    dsig = (1.0 / scale) * dsig
-
+    sigma, dsig = _model_sigma(cfg)
     phi = constant(phi0(), cfg.N) + cfg.eps * dsig
-    try:
-        g, _ = metric_from_g2(phi)
-    except PositivityError as exc:
-        raise PositivityError(
-            "eps too large: phi leaves the G2 cone on the grid") from exc
+    del dsig
+    g, _ = metric_from_g2(phi)
     psi = hodge_star(g, hodge_star(g, phi) - constant(star_phi0(), cfg.N))
     return phi, psi, sigma
 
@@ -403,13 +447,13 @@ def make_model_problem(cfg: SolverConfig):
 # iteration
 # ----------------------------------------------------------------------
 
-def picard_step(pot: SpectralField, psi: Form, eta: SpectralField,
+def picard_step(pot: SpectralField, psi: Form | None, eta: SpectralField,
                 scheme: str = "flat-split") -> SpectralField:
     """One update of the correction 2-form, from and to its half spectrum.
 
     pot is the model potential, phi = phi0 + d pot: eps sigma for the
     output of make_model_problem, so no step recomputes
-    delta Lap^-1 (phi - phi0).
+    delta Lap^-1 (phi - phi0).  psi is read by 'joyce-literal' only.
 
     'flat-split' (the solver default): solve the exact rearrangement
     A(eta + pot) = delta0(*0 F0(chi)) with chi = d(pot + eta), using the
@@ -423,13 +467,16 @@ def picard_step(pot: SpectralField, psi: Form, eta: SpectralField,
     N = pot.N
     ops = derivative_ops(N)
     if scheme == "flat-split":
-        chi = ops.d(pot + eta).to_grid()
-        star_F = _apply_matrix(_star0_matrix(4),
-                               to_spectral(_flat_split_F(chi)), 3)
-        sol = _apply_symbol_pinv(N, ops.delta(star_F))
-        # A acted on eta + pot; peel the model part off, and keep the
-        # iterate the spectrum of the real field it stands for
-        return ops.mean_zero(sol - pot).hermitian()
+        # nested calls, so that chi, F and *0 F are each freed once read
+        sol = _apply_symbol_pinv(N, ops.delta(_apply_matrix(
+            _star0_matrix(4),
+            to_spectral(_flat_split_F(ops.d(pot + eta).to_grid())), 3)))
+        # A acted on eta + pot; peel the model part off (in place, as sol
+        # is this step's own), drop the mean and keep the iterate the
+        # spectrum of the real field it stands for
+        sol.spec -= pot.spec
+        sol.spec[_ZERO_MODE] = 0.0
+        return sol.hermitian()
     if scheme == "joyce-literal":
         phi = constant(phi0(), N) + ops.d(pot).to_grid()
         g, _ = metric_from_g2(phi)
@@ -448,8 +495,8 @@ def residual(phi_tilde: Form) -> float:
     """max(||d phi||_Linf, ||d Theta(phi)||_Linf) on the grid (flat norms).
     Theta raises PositivityError where phi is not a G2-structure."""
     ops = derivative_ops(phi_tilde.coeffs.shape[1])
-    d_theta = _linf(ops.d(to_spectral(theta(phi_tilde))).to_grid())
-    d_phi = _linf(ops.d(to_spectral(phi_tilde)).to_grid())
+    d_theta = _linf(ops.d(to_spectral(theta(phi_tilde))))
+    d_phi = _linf(ops.d(to_spectral(phi_tilde)))
     return max(d_phi, d_theta)
 
 
@@ -457,10 +504,14 @@ def solve(cfg: SolverConfig):
     """Run the iteration to the torsion-free structure; returns
     (eta, report), eta as grid values.  On the flat torus the target is
     phi0 itself, so the report carries both the torsion residual and the
-    distance to phi0."""
+    distance to phi0.
+
+    The model problem enters as its potential eps sigma, with the memory
+    refusal and the positivity gate of make_model_problem; phi and psi are
+    never built as grid values (no scheme of solve reads psi), and
+    phi + d eta is phi0 + d(eps sigma + eta)."""
     ops = derivative_ops(cfg.N)
-    phi, psi, sigma = make_model_problem(cfg)
-    pot = cfg.eps * sigma
+    pot = cfg.eps * _model_sigma(cfg)[0]
     eta = SpectralField.zero(2, cfg.N)
     if cfg.operator_mode == "curved-cg":
         # the residual-correction updates stay in the symbol range; seed
@@ -472,14 +523,15 @@ def solve(cfg: SolverConfig):
     for j in range(cfg.max_iter):
         try:
             if cfg.operator_mode == "flat-background":
-                new_eta = picard_step(pot, psi, eta, scheme="flat-split")
+                new_eta = picard_step(pot, None, eta, scheme="flat-split")
             else:
-                new_eta = _cg_step(ops, phi, eta)
+                new_eta = _cg_step(ops, pot, eta)
         except PositivityError as exc:
             raise RuntimeError(f"iterate {j} left the G2 cone") from exc
-        step = _linf((new_eta - eta).to_grid())
+        step = _linf(new_eta - eta)
         diffs.append(step)
         eta = new_eta
+        del new_eta         # one name per spectrum, so each is freed in time
         if step <= cfg.tol_residual:
             iterations = j          # productive steps before convergence
             break
@@ -488,9 +540,11 @@ def solve(cfg: SolverConfig):
         raise RuntimeError(f"max_iter = {cfg.max_iter} exceeded: last step "
                            f"{diffs[-1]:.3e} > tol {cfg.tol_residual:g}")
 
-    phi_tilde = phi + ops.d(eta).to_grid()
+    phi_tilde = _phi_tilde(ops, pot, eta)
+    eta = eta.to_grid()
+    del pot
     res = residual(phi_tilde)
-    dist = _linf(phi_tilde - constant(phi0(), cfg.N))
+    dist = float(np.abs(phi_tilde.coeffs - phi0().coeffs[_CONST]).max())
     # the grid mean of each component is its constant Fourier mode
     zero_mode_gap = float(np.abs(
         phi_tilde.coeffs.mean(axis=_GRID_AXES) - phi0().coeffs).max())
@@ -505,10 +559,18 @@ def solve(cfg: SolverConfig):
         "step_sizes": diffs,
         "mode": cfg.operator_mode,
     }
-    return eta.to_grid(), report
+    return eta, report
 
 
-def _cg_step(ops: SpectralOps, phi: Form,
+def _phi_tilde(ops: SpectralOps, pot: SpectralField,
+               eta: SpectralField) -> Form:
+    """Grid values of phi + d eta = phi0 + d(pot + eta)."""
+    phi_tilde = ops.d(pot + eta).to_grid()
+    phi_tilde.coeffs[:] += phi0().coeffs[_CONST]
+    return phi_tilde
+
+
+def _cg_step(ops: SpectralOps, pot: SpectralField,
              eta: SpectralField) -> SpectralField:
     """Residual-correction step: eta <- eta + pinv(A) *0 d Theta(phi+d eta),
     the honest nonlinear torsion fed back through the flat preconditioner.
@@ -518,8 +580,7 @@ def _cg_step(ops: SpectralOps, phi: Form,
     residual of order eps^3 (the seed fixes the diffeomorphism offset to
     first order only).  The mode exists as the fallback; the default
     rearranged scheme is exact and is what the acceptance run uses."""
-    phi_tilde = phi + ops.d(eta).to_grid()
-    d_theta = ops.d(to_spectral(theta(phi_tilde)))      # 5-form
+    d_theta = ops.d(to_spectral(theta(_phi_tilde(ops, pot, eta))))  # 5-form
     # *0 -> 2-form: the residual is a real field on the grid
     resid2 = _apply_matrix(_star0_matrix(5), d_theta, 2).hermitian()
     return ops.mean_zero(eta + _apply_symbol_pinv(ops.N, resid2)).hermitian()

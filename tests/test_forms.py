@@ -352,17 +352,23 @@ def test_metric_continuity_near_phi0():
 def test_theta_factors_each_metric_once(monkeypatch):
     # metric_from_g2's Cholesky factor of B is the only factorization:
     # g carries sqrt(det g) = vol from it, so neither the Metric nor
-    # hodge_star factors g again
+    # hodge_star factors g again.  theta runs in blocks, so count the
+    # matrices factored, one per point, over a batch of several blocks
+    npts = 2 * F._THETA_BLOCK + 300
     rng = np.random.default_rng(3)
-    phi = F.pullback(random_gl_plus(rng, (300,)), F.phi0())
-    calls = []
-    for name in ("cholesky", "det", "slogdet"):
+    phi = F.pullback(random_gl_plus(rng, (npts,)), F.phi0())
+    factored = {"cholesky": 0, "det": 0, "slogdet": 0}
+    for name in factored:
         real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _f=real, _n=name,
-                            **k: calls.append(_n) or _f(*a, **k))
+
+        def counted(a, *args, _f=real, _n=name, **kw):
+            factored[_n] += int(np.prod(np.shape(a)[:-2], dtype=np.int64))
+            return _f(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
     g, vol = F.metric_from_g2(phi)
+    assert factored == {"cholesky": npts, "det": 0, "slogdet": 0}
     F.theta(phi)
-    assert calls == ["cholesky", "cholesky"]
+    assert factored == {"cholesky": 2 * npts, "det": 0, "slogdet": 0}
     monkeypatch.undo()
     assert g.sqrt_det is vol
     assert np.allclose(vol, np.sqrt(np.linalg.det(g.entries)), rtol=1e-12)
@@ -570,6 +576,31 @@ def test_pi1_idempotent():
 # ----------------------------------------------------------------------
 # batched evaluation
 # ----------------------------------------------------------------------
+
+def test_blocked_theta_matches_one_batch():
+    # three whole theta blocks and a ragged tail, against the metric and
+    # star of the whole batch at once
+    npts = 3 * F._THETA_BLOCK + 123
+    rng = np.random.default_rng(17)
+    phi = F.pullback(random_gl_plus(rng, (npts,)), F.phi0())
+    ref = F.hodge_star(F.metric_from_g2(phi)[0], phi).coeffs
+    got = F.theta(phi).coeffs
+    assert got.shape == ref.shape == (35, npts)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    # the same on a batch shaped like a grid, and on one point
+    grid = Form(7, 3, phi.coeffs[:, :2 * 3 * 5 * 7 * 11].reshape(
+        (35, 2, 3, 5, 7, 11)))
+    assert np.array_equal(F.theta(grid).coeffs.reshape(35, -1),
+                          got[:, :2 * 3 * 5 * 7 * 11])
+    one = Form(7, 3, phi.coeffs[:, -1])
+    assert np.abs(F.theta(one).coeffs - ref[:, -1]).max() <= (
+        1e-15 * np.abs(ref).max())
+    # a point outside the G2 cone in the last (ragged) block only
+    bad = phi.coeffs.copy()
+    bad[:, -1] *= -1.0
+    with pytest.raises(F.PositivityError):
+        F.theta(Form(7, 3, bad))
+
 
 def test_batched_matches_pointwise():
     npts = 11

@@ -260,6 +260,18 @@ def test_torsion_supported_on_annulus():
     assert norms.max() > 0
 
 
+def test_torsion_norms_match_inner_product():
+    # torsion_form takes |psi|^2 as (psi ^ mismatch) / vol, with
+    # *psi = mismatch; it must equal <psi, psi>_g from a second star
+    for t in (0.008, 0.004, 0.002, 0.001):
+        chart = KM.GluingChart(t)
+        s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999, 200)
+        psi, norms, g = KM.torsion_form(t, chart.r_of_s(s), chart)
+        ref = np.sqrt(np.maximum(inner_product(g, psi, psi), 0.0))
+        assert ref.max() > 0
+        assert np.abs(norms - ref).max() <= 1e-12 * ref.max()
+
+
 def test_torsion_bounded_by_t4():
     # |psi| <= c t^4 with the constant reported by the fit machinery
     t = 0.004

@@ -4,6 +4,8 @@ Unit tests run at N = 4 to stay fast; the N = 6 run of the acceptance
 criterion lives in test_acceptance.py.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -294,11 +296,16 @@ class Allocated(Exception):
 
 def test_grid_refused_before_allocation(monkeypatch):
     # derivative_ops is the first step of make_model_problem that
-    # allocates grid arrays; a refused grid must never reach it
+    # allocates grid arrays; a refused grid must never reach it.  The
+    # available memory lies between the N = 6 and N = 8 estimates
+    avail = 2 * 2 ** 30
+    assert T._PEAK_BYTES_PER_POINT * 6 ** 7 < avail
+    assert T._PEAK_BYTES_PER_POINT * 8 ** 7 > avail
+
     def reached(N):
         raise Allocated(N)
     monkeypatch.setattr(T, "derivative_ops", reached)
-    monkeypatch.setattr(T, "_mem_available", lambda: int(7.3 * 2 ** 30))
+    monkeypatch.setattr(T, "_mem_available", lambda: avail)
     with pytest.raises(T.GridTooLargeError, match="N = 8"):
         T.make_model_problem(T.SolverConfig(N=8))
     with pytest.raises(Allocated):
@@ -307,6 +314,23 @@ def test_grid_refused_before_allocation(monkeypatch):
     monkeypatch.setattr(T, "_mem_available", lambda: None)
     with pytest.raises(Allocated):
         T.make_model_problem(T.SolverConfig(N=8))
+
+
+def test_solve_memory_budget():
+    # tracemalloc counts every numpy allocation, the same on every run:
+    # the peak of an N = 4 solve stays under 2 KB per grid point, and
+    # under the per-point estimate that refuses grids, which is thereby
+    # tied to a measurement
+    cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
+    tracemalloc.start()
+    try:
+        _, report = T.solve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["residual"] <= 1e-8
+    assert peak / N ** 7 <= 2048
+    assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
 
 
 def test_model_potential_is_eps_sigma():
