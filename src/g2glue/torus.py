@@ -435,12 +435,20 @@ def make_model_problem(cfg: SolverConfig):
     neither phi nor psi as grid values; psi is for the 'joyce-literal'
     scheme and for callers of this function.
     """
-    sigma, dsig = _model_sigma(cfg)
-    phi = constant(phi0(), cfg.N) + cfg.eps * dsig
-    del dsig
-    g, _ = metric_from_g2(phi)
-    psi = hodge_star(g, hodge_star(g, phi) - constant(star_phi0(), cfg.N))
-    return phi, psi, sigma
+    sigma, phi = _model_sigma(cfg)
+    # phi0 + eps d sigma, in place in the grid values of d sigma; then psi
+    # one theta block at a time, within the peak the refusal estimates
+    phi.coeffs[:] *= cfg.eps
+    phi.coeffs[:] += phi0().coeffs[_CONST]
+    phi_pts = phi.coeffs.reshape(35, -1)
+    psi = np.empty(phi_pts.shape)
+    star0 = star_phi0().coeffs[:, None]
+    for lo in range(0, phi_pts.shape[1], _THETA_BLOCK):
+        block = Form(7, 3, phi_pts[:, lo:lo + _THETA_BLOCK])
+        g, _ = metric_from_g2(block)
+        psi[:, lo:lo + _THETA_BLOCK] = hodge_star(
+            g, hodge_star(g, block) - Form(7, 4, star0)).coeffs
+    return phi, Form(7, 3, psi.reshape(phi.coeffs.shape)), sigma
 
 
 # ----------------------------------------------------------------------

@@ -316,20 +316,26 @@ def test_grid_refused_before_allocation(monkeypatch):
         T.make_model_problem(T.SolverConfig(N=8))
 
 
+def traced_peak(call):
+    """call()'s result and the tracemalloc peak of its allocations."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_solve_memory_budget():
     # tracemalloc counts every numpy allocation, the same on every run:
     # the peak of an N = 4 solve stays under 2 KB per grid point, and
     # under the per-point estimate that refuses grids, which is thereby
-    # tied to a measurement
+    # tied to a measurement; so does the public model problem with psi
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
-    tracemalloc.start()
-    try:
-        _, report = T.solve(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, report), peak = traced_peak(lambda: T.solve(cfg))
     assert report["residual"] <= 1e-8
     assert peak / N ** 7 <= 2048
+    assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
+    _, peak = traced_peak(lambda: T.make_model_problem(cfg))
     assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
 
 
