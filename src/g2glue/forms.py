@@ -176,40 +176,81 @@ class Form:
         return Form.from_dict(data["dim"], data["degree"], entries)
 
 
+def _spd_factor(M: np.ndarray, error: str):
+    """det and inverse of symmetric matrices M (*batch, n, n), and the
+    proof that they are positive definite.
+
+    Gauss-Jordan elimination without pivoting, unrolled over the n pivots
+    and vectorised over the points, which it holds last, (n, n, npts), so
+    that each entry is one contiguous row of points.  For symmetric M the
+    k-th pivot is the ratio of the k-th and (k-1)-th leading principal
+    minors, so by Sylvester's criterion M is definite exactly when every
+    pivot is > 0; det is their product.  Raises PositivityError(error)
+    unless at every point every pivot is finite and > 0, which also
+    rejects NaN and inf entries.
+    """
+    batch, n = M.shape[:-2], M.shape[-1]
+    a = M.reshape(-1, n, n).transpose(1, 2, 0).copy()
+    det = np.ones(a.shape[2])
+    definite = np.ones(a.shape[2], dtype=bool)
+    # a failed pivot leaves garbage at its point only, and that point
+    # fails the gate below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n):
+            piv = a[k, k].copy()
+            definite &= (piv > 0.0) & (piv < np.inf)
+            det *= piv
+            row = a[k] / piv
+            row[k] = 1.0 / piv
+            col = a[:, k].copy()
+            col[k] = 0.0
+            a[:, k] = 0.0
+            a -= col[:, None] * row[None]
+            a[k] = row
+    if not definite.all():
+        raise PositivityError(error)
+    inv = np.ascontiguousarray(a.transpose(2, 0, 1)).reshape(batch + (n, n))
+    return det.reshape(batch), inv
+
+
 @dataclass(frozen=True)
 class Metric:
     """Symmetric positive-definite bilinear form; entries (*batch, n, n).
 
-    sqrt_det, sqrt(det g) at each point, is read off the Cholesky factor
-    that proves the entries definite, so no second factorization is made.
+    The one elimination that proves the entries definite (_spd_factor)
+    also gives sqrt(det g) and g^-1, and the metric keeps both, so
+    hodge_star, inner_product and cross_product factor nothing.
     """
     dim: int
     entries: np.ndarray
     sqrt_det: np.ndarray = field(init=False, repr=False, compare=False)
+    _inverse: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
         if e.shape[-2:] != (self.dim, self.dim):
             raise ValueError("metric shape mismatch")
-        if not np.allclose(e, np.swapaxes(e, -1, -2), rtol=1e-12, atol=1e-12):
+        # a NaN entry is left to fail the definiteness gate
+        if not np.allclose(e, np.swapaxes(e, -1, -2), rtol=1e-12, atol=1e-12,
+                           equal_nan=True):
             raise ValueError("metric must be symmetric")
-        try:
-            chol = np.linalg.cholesky(e)
-        except np.linalg.LinAlgError:
-            raise PositivityError("metric is not positive definite") from None
+        det, inv = _spd_factor(e, "metric is not positive definite")
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "sqrt_det", np.prod(
-            np.diagonal(chol, axis1=-2, axis2=-1), axis=-1))
+        object.__setattr__(self, "sqrt_det", np.sqrt(det))
+        object.__setattr__(self, "_inverse", inv)
 
     @classmethod
-    def _proved(cls, entries: np.ndarray, sqrt_det: np.ndarray) -> "Metric":
+    def _proved(cls, entries: np.ndarray, sqrt_det: np.ndarray,
+                inverse: np.ndarray) -> "Metric":
         """A metric whose entries the caller has already proved symmetric
-        and positive-definite, with sqrt(det) from that proof: the checks
-        and the factorization of __post_init__ are not repeated."""
+        and positive-definite, with sqrt(det) and the inverse from that
+        proof: the checks and the elimination of __post_init__ are not
+        repeated."""
         g = object.__new__(cls)
         object.__setattr__(g, "dim", entries.shape[-1])
         object.__setattr__(g, "entries", entries)
         object.__setattr__(g, "sqrt_det", sqrt_det)
+        object.__setattr__(g, "_inverse", inverse)
         return g
 
     @staticmethod
@@ -221,7 +262,8 @@ class Metric:
         return self.entries.shape[:-2]
 
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.entries)
+        """g^-1, (*batch, n, n), as stored at construction."""
+        return self._inverse
 
 
 @dataclass(frozen=True)
@@ -495,10 +537,12 @@ def metric_from_g2(phi: Form):
     computed as A W A^T (see _bryant_gathers), then
     g = 6^(-2/9) det(B)^(-1/9) B and vol = sqrt(det g) = 6^(-7/9) det(B)^(1/9).
     The normalization is pinned by metric_from_g2(phi0) == euclidean.
-    B is factored once: the Cholesky factor L that tests definiteness also
-    gives det B = prod(diag L)^2, and g carries vol as its sqrt_det, so
+    B is eliminated once (_spd_factor): the elimination that tests
+    definiteness also gives det B and B^-1, and g carries vol as its
+    sqrt_det and g^-1 = 6^(2/9) det(B)^(1/9) B^-1 as its inverse, so
     hodge_star with g factors nothing more.  Raises PositivityError when B
-    is not positive definite (phi is not a G2-structure).
+    is not positive definite (phi is not a G2-structure), or when det B
+    over- or underflows.
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("metric_from_g2 expects a 3-form in dimension 7")
@@ -506,17 +550,16 @@ def metric_from_g2(phi: Form):
     with np.errstate(over="ignore", invalid="ignore"):
         # a B that overflows, or holds NaN, fails the gate below
         B = _bryant_b(phi.coeffs.reshape(35, -1)).reshape(batch + (7, 7))
-    try:
-        detB = np.prod(np.diagonal(np.linalg.cholesky(B), axis1=-2, axis2=-1),
-                       axis=-1) ** 2
-    except np.linalg.LinAlgError:
-        raise PositivityError("3-form is not a G2-structure (B not definite)") from None
-    # written so that a NaN det B fails too: cholesky does not raise on NaN
-    if not np.all(detB > 0.0):
-        raise PositivityError("3-form is not a G2-structure (det B not > 0)")
-    g_entries = 6.0 ** (-2.0 / 9.0) * detB[..., None, None] ** (-1.0 / 9.0) * B
-    vol = 6.0 ** (-7.0 / 9.0) * detB ** (1.0 / 9.0)
-    return Metric._proved(g_entries, vol), vol
+    detB, B_inv = _spd_factor(
+        B, "3-form is not a G2-structure (B not definite)")
+    # the pivots are finite, their product need not be
+    if not np.all((detB > 0.0) & (detB < np.inf)):
+        raise PositivityError("3-form out of range (det B over- or underflows)")
+    root = detB[..., None, None] ** (1.0 / 9.0)
+    g_entries = 6.0 ** (-2.0 / 9.0) / root * B
+    B_inv *= 6.0 ** (2.0 / 9.0) * root     # in place: B^-1 is ours
+    vol = 6.0 ** (-7.0 / 9.0) * root[..., 0, 0]
+    return Metric._proved(g_entries, vol, B_inv), vol
 
 
 def cross_product(phi: Form, g: Metric, u: Vector, v: Vector) -> Vector:
@@ -529,10 +572,12 @@ def cross_product(phi: Form, g: Metric, u: Vector, v: Vector) -> Vector:
 
 
 # points per block of theta, so a batch holds at most this many 7 x 7
-# matrices (B, its Cholesky factor, g, g^-1) at once.  Measured on 4^7
-# points (one BLAS thread, best of 15): 126 ms in blocks of 256, where
-# each block pays the per-call cost of cholesky, inv and the gathers,
-# 114 ms in blocks of 2048, 119 ms as one batch.
+# matrices (B, its elimination, g, g^-1) at once.  Measured on 4^7
+# points (one BLAS thread, 2-core Xeon, best of 15 interleaved runs):
+# 116 ms in blocks of 256, where each block pays the per-call cost of
+# the elimination's 7 unrolled steps and the gathers, 108 ms in blocks
+# of 1024, 104 ms in blocks of 2048, 108 ms in blocks of 4096 and 114 ms
+# as one batch.
 _THETA_BLOCK = 8 * _BLOCK
 
 

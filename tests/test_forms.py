@@ -349,34 +349,101 @@ def test_metric_continuity_near_phi0():
     assert np.abs(g.entries - np.eye(7)).max() <= 1e-2
 
 
+# every np.linalg routine that factors a matrix
+LINALG_FACTORIZATIONS = ("cholesky", "det", "eig", "eigh", "eigvals",
+                         "eigvalsh", "inv", "lstsq", "pinv", "qr", "slogdet",
+                         "solve", "svd")
+
+
 def test_theta_factors_each_metric_once(monkeypatch):
-    # metric_from_g2's Cholesky factor of B is the only factorization:
-    # g carries sqrt(det g) = vol from it, so neither the Metric nor
-    # hodge_star factors g again.  theta runs in blocks, so count the
-    # matrices factored, one per point, over a batch of several blocks
+    # metric_from_g2's elimination of B is the only factorization: g
+    # carries sqrt(det g) = vol and g^-1 from it, so neither the Metric
+    # nor hodge_star, inner_product or cross_product factors g again, and
+    # no np.linalg factorization runs.  theta runs in blocks, so count the
+    # matrices eliminated, one per point, over a batch of several blocks
     npts = 2 * F._THETA_BLOCK + 300
     rng = np.random.default_rng(3)
     phi = F.pullback(random_gl_plus(rng, (npts,)), F.phi0())
-    factored = {"cholesky": 0, "det": 0, "slogdet": 0}
-    for name in factored:
+    eliminated = []
+    real_factor = F._spd_factor
+
+    def counted_factor(M, *args):
+        eliminated.append(int(np.prod(M.shape[:-2], dtype=np.int64)))
+        return real_factor(M, *args)
+    monkeypatch.setattr(F, "_spd_factor", counted_factor)
+    lapack = dict.fromkeys(LINALG_FACTORIZATIONS, 0)
+    for name in lapack:
         real = getattr(np.linalg, name)
 
         def counted(a, *args, _f=real, _n=name, **kw):
-            factored[_n] += int(np.prod(np.shape(a)[:-2], dtype=np.int64))
+            lapack[_n] += 1
             return _f(a, *args, **kw)
         monkeypatch.setattr(np.linalg, name, counted)
     g, vol = F.metric_from_g2(phi)
-    assert factored == {"cholesky": npts, "det": 0, "slogdet": 0}
+    assert sum(eliminated) == npts
     F.theta(phi)
-    assert factored == {"cholesky": 2 * npts, "det": 0, "slogdet": 0}
+    assert sum(eliminated) == 2 * npts
+    F.inner_product(g, phi, phi)
+    F.cross_product(phi, g, Vector.basis(7, 0), Vector.basis(7, 1))
+    assert sum(eliminated) == 2 * npts
+    assert lapack == dict.fromkeys(LINALG_FACTORIZATIONS, 0)
     monkeypatch.undo()
     assert g.sqrt_det is vol
     assert np.allclose(vol, np.sqrt(np.linalg.det(g.entries)), rtol=1e-12)
-    # a user-built metric is still validated and factored
+    # a user-built metric is still validated and eliminated
     assert np.allclose(Metric(7, g.entries).sqrt_det, vol, rtol=1e-12)
     user = random_spd_metric(7)
     assert np.isclose(user.sqrt_det, np.sqrt(np.linalg.det(user.entries)),
                       rtol=1e-12)
+
+
+def test_metric_inverse_from_the_elimination():
+    # g^-1 g = I at random positive phi, and a user-built Metric's stored
+    # inverse is the same elimination's: it matches metric_from_g2's
+    # 6^(2/9) det(B)^(1/9) B^-1 and an LU inverse
+    rng = np.random.default_rng(29)
+    phi = F.pullback(random_gl_plus(rng, (500,)), F.phi0())
+    g, _ = F.metric_from_g2(phi)
+    eye = np.broadcast_to(np.eye(7), (500, 7, 7))
+    assert np.abs(g.inverse() @ g.entries - eye).max() <= 1e-13
+    assert np.abs(g.entries @ g.inverse() - eye).max() <= 1e-13
+    user = Metric(7, g.entries).inverse()
+    lu = np.linalg.inv(g.entries)
+    assert np.abs(user - g.inverse()).max() <= 1e-13 * np.abs(lu).max()
+    assert np.abs(user - lu).max() <= 1e-13 * np.abs(lu).max()
+    one = random_spd_metric(5)
+    assert one.inverse().shape == (5, 5)
+    assert np.allclose(one.inverse(), np.linalg.inv(one.entries), rtol=1e-13,
+                       atol=1e-15)
+
+
+def split_g2_form():
+    """phi0 with the signs of its last two terms flipped: a 3-form in the
+    open orbit of split G2, where B has signature (3, 4) and det B > 0."""
+    terms = dict(F.PHI0_TERMS)
+    terms[(2, 3, 6)] = terms[(2, 4, 5)] = 1.0
+    return Form.from_dict(7, 3, terms)
+
+
+def bad_spd_inputs():
+    """Symmetric 7 x 7 matrices that are not positive definite, each
+    the last point of a batch whose other points are the identity."""
+    rng = np.random.default_rng(31)
+    Q, _ = np.linalg.qr(rng.normal(size=(7, 7)))
+    two_negative = Q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0, -1.0, -2.0]) @ Q.T
+    two_negative = 0.5 * (two_negative + two_negative.T)
+    zero_pivot = np.eye(7)
+    zero_pivot[3, 3] = 0.0
+    out = {"two negative eigenvalues": two_negative, "zero pivot": zero_pivot}
+    for bad in (np.nan, np.inf, -np.inf):
+        diag, off = np.eye(7), np.eye(7)
+        diag[6, 6] = bad
+        off[2, 5] = off[5, 2] = bad
+        out[f"{bad} on the diagonal"] = diag
+        out[f"{bad} off the diagonal"] = off
+    assert np.linalg.det(two_negative) > 0
+    return {name: np.concatenate([np.broadcast_to(np.eye(7), (2, 7, 7)),
+                                  B[None]]) for name, B in out.items()}
 
 
 def test_metric_rejects_non_positive():
@@ -384,12 +451,17 @@ def test_metric_rejects_non_positive():
         F.metric_from_g2(-1.0 * F.phi0())
     with pytest.raises(F.PositivityError):
         F.metric_from_g2(Form.basis(7, (0, 1, 2)))
+    # det B > 0, but B is indefinite
+    split = split_g2_form()
+    eigs = np.linalg.eigvalsh(F._bryant_b(split.coeffs[:, None])[0])
+    assert (eigs < 0).sum() == 4 and np.prod(eigs) > 0
+    with pytest.raises(F.PositivityError):
+        F.metric_from_g2(split)
 
 
 def test_metric_rejects_non_finite():
-    # cholesky returns NaN for a NaN matrix instead of raising, so the
-    # gate itself must read NaN (and the inf - inf of an inf 3-form) as
-    # failure, also at one point of an otherwise positive batch
+    # the gate reads NaN (and the inf - inf of an inf 3-form) as failure,
+    # also at one point of an otherwise positive batch
     for bad in (np.nan, np.inf):
         with pytest.raises(F.PositivityError):
             F.metric_from_g2(Form(7, 3, np.full(35, bad)))
@@ -397,6 +469,32 @@ def test_metric_rejects_non_finite():
         coeffs[0, 1] = bad
         with pytest.raises(F.PositivityError):
             F.metric_from_g2(Form(7, 3, coeffs))
+
+
+def test_metric_rejects_det_out_of_range():
+    # B = 6 s^3 I at s phi0 is finite and definite, but det B = (6 s^3)^7
+    # over- or underflows, and with it the scale det(B)^(1/9) of g and
+    # g^-1
+    for s in (1e20, 1e-20):
+        with pytest.raises(F.PositivityError):
+            F.metric_from_g2(s * F.phi0())
+    # det B near 1e258 is still in range: g(c^3 phi0) = c^2 at c = 1e4
+    g, _ = F.metric_from_g2(1e12 * F.phi0())
+    assert np.abs(g.entries - 1e8 * np.eye(7)).max() <= 1e-12 * 1e8
+
+
+@pytest.mark.parametrize("name", list(bad_spd_inputs()))
+def test_positivity_gate_rejects(name, monkeypatch):
+    # Sylvester's criterion on the pivots, with NaN and inf failing too:
+    # the same B is refused as a Metric and as the B of metric_from_g2
+    B = bad_spd_inputs()[name]
+    with pytest.raises(F.PositivityError):
+        Metric(7, B)
+    with pytest.raises(F.PositivityError):
+        Metric(7, B[-1])
+    monkeypatch.setattr(F, "_bryant_b", lambda coeffs: B)
+    with pytest.raises(F.PositivityError):
+        F.metric_from_g2(Form(7, 3, np.zeros((35, 3))))
 
 
 def random_gl_plus(rng, batch):
