@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.integrate import quad
 
 from g2glue import eguchi_hanson as EH
 from g2glue.forms import wedge
@@ -188,12 +189,32 @@ def test_radial_distance_many_agrees_with_single_calls():
         assert np.isclose(d, EH.radial_distance(0.5, r), rtol=1e-12)
 
 
-def test_radial_distance_many_raises_on_a_non_converged_segment(monkeypatch):
-    monkeypatch.setattr(EH, "quad", lambda fn, a, b, **kw: (b - a, 1e-3))
-    with pytest.raises(RuntimeError):
-        EH.radial_distance_many(1.0, np.array([0.5, 2.0]))
-    with pytest.raises(RuntimeError):
-        EH.radial_distance(1.0, 2.0)
+def quad_radial_distance(k, r):
+    """int_0^r (k + s^2)^(-1/4) ds by adaptive quadrature, on segments
+    that start at sqrt(k) and grow by a factor 8: on one huge interval
+    QAGS can return a confidently wrong value."""
+    edges = [0.0]
+    e = min(max(np.sqrt(k), 1e-300), r)
+    while e < r:
+        edges.append(e)
+        e *= 8.0
+    edges.append(r)
+    return sum(quad(lambda s: (k + s * s) ** -0.25, a, b, epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("k", [1e-300, 1e-12, 1e-4, 1.0, 16.0])
+def test_radial_distance_matches_quadrature(k):
+    # the closed form against quadrature of its integral, from r << sqrt(k)
+    # to r >> sqrt(k), through the far branch (u = r / sqrt(k) > 1e150)
+    # at k = 1e-300
+    rs = np.geomspace(1e-8, 1e100, 28)
+    ds = EH.radial_distance_many(k, rs)
+    assert np.all(np.isfinite(ds))
+    ref = np.array([quad_radial_distance(k, r) for r in rs])
+    assert np.abs(ds / ref - 1.0).max() <= 1e-12
+    assert EH.radial_distance(k, rs[5]) == ds[5]
 
 
 def test_sphere_scaling_exact():
