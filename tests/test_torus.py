@@ -329,13 +329,20 @@ def test_solve_memory_budget():
     # tracemalloc counts every numpy allocation, the same on every run:
     # the peak of an N = 4 solve stays under 2 KB per grid point, and
     # under the per-point estimate that refuses grids, which is thereby
-    # tied to a measurement; so does the public model problem with psi
+    # tied to a measurement; so do the public model problem with psi and
+    # one 'joyce-literal' step (3451 B per point with grid-sized metrics)
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
     (_, report), peak = traced_peak(lambda: T.solve(cfg))
     assert report["residual"] <= 1e-8
     assert peak / N ** 7 <= 2048
     assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
-    _, peak = traced_peak(lambda: T.make_model_problem(cfg))
+    (_, psi, sigma), peak = traced_peak(lambda: T.make_model_problem(cfg))
+    assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
+    pot = cfg.eps * sigma
+    eta = T.picard_step(pot, psi, T.SpectralField.zero(2, N),
+                        scheme="joyce-literal")
+    _, peak = traced_peak(lambda: T.picard_step(pot, psi, eta,
+                                                scheme="joyce-literal"))
     assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
 
 
@@ -467,11 +474,12 @@ def test_flat_split_step_transform_budget(monkeypatch):
 
 def test_solve_transform_budget(monkeypatch):
     # 1218 component transforms per N = 4 solve when every operator
-    # result went back to the grid
+    # result went back to the grid, 511 while the reported residual also
+    # took ||d phi~|| of the closed phi~
     counts = count_transforms(monkeypatch)
     _, report = T.solve(T.SolverConfig(N=N, eps=1e-2, seed=7))
     assert report["residual"] <= 1e-8
-    assert counts["forward"] + counts["inverse"] <= 720
+    assert counts["forward"] + counts["inverse"] <= 450
 
 
 # ----------------------------------------------------------------------
