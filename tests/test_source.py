@@ -66,3 +66,26 @@ def test_torus_builds_no_sign_tables():
               for node in ast.walk(tree)
               if isinstance(node, (ast.Name, ast.Attribute))}
     assert not names & {"merge_sign", "sort_index"}
+
+
+def test_no_lapack_factorizations_and_no_radial_quadrature():
+    # one factorization per metric: forms._spd_factor eliminates B (or a
+    # user's g) once and keeps det and g^-1; and the radial distance is
+    # the closed form, not one quadrature per radius
+    names = {"inv", "cholesky", "det", "slogdet", "solve"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in names
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "linalg"]
+    tree = ast.parse((PACKAGE / "eguchi_hanson.py").read_text())
+    radial = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name in ("radial_distance", "radial_distance_many")]
+    assert len(radial) == 2
+    found += [f"eguchi_hanson.py:{node.lineno}" for fn in radial
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Name) and node.id == "quad"]
+    assert found == []
