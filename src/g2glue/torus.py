@@ -486,11 +486,10 @@ def picard_step(pot: SpectralField, psi: Form | None, eta: SpectralField,
         sol.spec[_ZERO_MODE] = 0.0
         return sol.hermitian()
     if scheme == "joyce-literal":
-        # nested, so that each spectrum is freed once read
-        source = _literal_source(ops.d(pot).to_grid(), ops.d(eta).to_grid(),
-                                 psi)
-        return ops.mean_zero(ops.inv_laplacian(ops.delta(
-            to_spectral(source)), project=True))
+        # nested, so that each grid field and spectrum is freed once read
+        return ops.mean_zero(ops.inv_laplacian(ops.delta(to_spectral(
+            _literal_source(ops.d(pot).to_grid(), ops.d(eta).to_grid(), psi))),
+            project=True))
     raise ValueError(f"unknown scheme {scheme}")
 
 
@@ -500,7 +499,8 @@ def _literal_source(dpot: Form, deta: Form, psi: Form) -> Form:
 
     Written one theta block of points at a time into one array, so no
     grid-sized phi, metric or 4-form exists."""
-    dpot_pts, deta_pts = dpot.coeffs.reshape(35, -1), deta.coeffs.reshape(35, -1)
+    dpot_pts = dpot.coeffs.reshape(35, -1)
+    deta_pts = deta.coeffs.reshape(35, -1)
     psi_pts = psi.coeffs.reshape(35, -1)
     source = np.empty(psi_pts.shape)
     p0 = phi0().coeffs[:, None]
