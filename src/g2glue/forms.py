@@ -177,21 +177,23 @@ class Form:
 
 
 def _spd_factor(M: np.ndarray, error: str):
-    """det and inverse of symmetric matrices M (*batch, n, n), and the
-    proof that they are positive definite.
+    """sqrt(det) and inverse of symmetric matrices M (*batch, n, n), and
+    the proof that they are positive definite.
 
     Gauss-Jordan elimination without pivoting, unrolled over the n pivots
     and vectorised over the points, which it holds last, (n, n, npts), so
     that each entry is one contiguous row of points.  For symmetric M the
     k-th pivot is the ratio of the k-th and (k-1)-th leading principal
     minors, so by Sylvester's criterion M is definite exactly when every
-    pivot is > 0; det is their product.  Raises PositivityError(error)
-    unless at every point every pivot is finite and > 0, which also
-    rejects NaN and inf entries.
+    pivot is > 0; det is their product, and sqrt(det) is taken as the
+    product of their square roots (the diagonal of the Cholesky factor),
+    which stays in range where det would over- or underflow.  Raises
+    PositivityError(error) unless at every point every pivot is finite
+    and > 0, which also rejects NaN and inf entries.
     """
     batch, n = M.shape[:-2], M.shape[-1]
     a = M.reshape(-1, n, n).transpose(1, 2, 0).copy()
-    det = np.ones(a.shape[2])
+    sqrt_det = np.ones(a.shape[2])
     definite = np.ones(a.shape[2], dtype=bool)
     # a failed pivot leaves garbage at its point only, and that point
     # fails the gate below
@@ -199,7 +201,7 @@ def _spd_factor(M: np.ndarray, error: str):
         for k in range(n):
             piv = a[k, k].copy()
             definite &= (piv > 0.0) & (piv < np.inf)
-            det *= piv
+            sqrt_det *= np.sqrt(piv)
             row = a[k] / piv
             row[k] = 1.0 / piv
             col = a[:, k].copy()
@@ -210,7 +212,7 @@ def _spd_factor(M: np.ndarray, error: str):
     if not definite.all():
         raise PositivityError(error)
     inv = np.ascontiguousarray(a.transpose(2, 0, 1)).reshape(batch + (n, n))
-    return det.reshape(batch), inv
+    return sqrt_det.reshape(batch), inv
 
 
 @dataclass(frozen=True)
@@ -234,9 +236,9 @@ class Metric:
         if not np.allclose(e, np.swapaxes(e, -1, -2), rtol=1e-12, atol=1e-12,
                            equal_nan=True):
             raise ValueError("metric must be symmetric")
-        det, inv = _spd_factor(e, "metric is not positive definite")
+        sqrt_det, inv = _spd_factor(e, "metric is not positive definite")
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "sqrt_det", np.sqrt(det))
+        object.__setattr__(self, "sqrt_det", sqrt_det)
         object.__setattr__(self, "_inverse", inv)
 
     @classmethod
@@ -538,11 +540,11 @@ def metric_from_g2(phi: Form):
     g = 6^(-2/9) det(B)^(-1/9) B and vol = sqrt(det g) = 6^(-7/9) det(B)^(1/9).
     The normalization is pinned by metric_from_g2(phi0) == euclidean.
     B is eliminated once (_spd_factor): the elimination that tests
-    definiteness also gives det B and B^-1, and g carries vol as its
+    definiteness also gives sqrt(det B) and B^-1, and g carries vol as its
     sqrt_det and g^-1 = 6^(2/9) det(B)^(1/9) B^-1 as its inverse, so
     hodge_star with g factors nothing more.  Raises PositivityError when B
-    is not positive definite (phi is not a G2-structure), or when det B
-    over- or underflows.
+    is not positive definite (phi is not a G2-structure), or when
+    sqrt(det B) over- or underflows.
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("metric_from_g2 expects a 3-form in dimension 7")
@@ -550,12 +552,12 @@ def metric_from_g2(phi: Form):
     with np.errstate(over="ignore", invalid="ignore"):
         # a B that overflows, or holds NaN, fails the gate below
         B = _bryant_b(phi.coeffs.reshape(35, -1)).reshape(batch + (7, 7))
-    detB, B_inv = _spd_factor(
+    sqrt_detB, B_inv = _spd_factor(
         B, "3-form is not a G2-structure (B not definite)")
-    # the pivots are finite, their product need not be
-    if not np.all((detB > 0.0) & (detB < np.inf)):
-        raise PositivityError("3-form out of range (det B over- or underflows)")
-    root = detB[..., None, None] ** (1.0 / 9.0)
+    # the pivots are finite, the product of their roots need not be
+    if not np.all((sqrt_detB > 0.0) & (sqrt_detB < np.inf)):
+        raise PositivityError("3-form out of range (sqrt det B over- or underflows)")
+    root = sqrt_detB[..., None, None] ** (2.0 / 9.0)      # det(B)^(1/9)
     g_entries = 6.0 ** (-2.0 / 9.0) / root * B
     B_inv *= 6.0 ** (2.0 / 9.0) * root     # in place: B^-1 is ours
     vol = 6.0 ** (-7.0 / 9.0) * root[..., 0, 0]
@@ -574,9 +576,9 @@ def cross_product(phi: Form, g: Metric, u: Vector, v: Vector) -> Vector:
 # points per block of theta, so a batch holds at most this many 7 x 7
 # matrices (B, its elimination, g, g^-1) at once.  Measured on 4^7
 # points (one BLAS thread, 2-core Xeon, best of 15 interleaved runs):
-# 116 ms in blocks of 256, where each block pays the per-call cost of
-# the elimination's 7 unrolled steps and the gathers, 108 ms in blocks
-# of 1024, 104 ms in blocks of 2048, 108 ms in blocks of 4096 and 114 ms
+# 120 ms in blocks of 256, where each block pays the per-call cost of
+# the elimination's 7 unrolled steps and the gathers, 100 ms in blocks
+# of 1024, 96 ms in blocks of 2048, 103 ms in blocks of 4096 and 114 ms
 # as one batch.
 _THETA_BLOCK = 8 * _BLOCK
 

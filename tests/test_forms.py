@@ -471,16 +471,24 @@ def test_metric_rejects_non_finite():
             F.metric_from_g2(Form(7, 3, coeffs))
 
 
-def test_metric_rejects_det_out_of_range():
-    # B = 6 s^3 I at s phi0 is finite and definite, but det B = (6 s^3)^7
-    # over- or underflows, and with it the scale det(B)^(1/9) of g and
-    # g^-1
-    for s in (1e20, 1e-20):
+def test_metric_det_range():
+    # B = 6 s^3 I at s phi0 is finite and definite; sqrt(det B) =
+    # (6 s^3)^(7/2) overflows at s = 1e40 and underflows at s = 1e-40, and
+    # with it the scale det(B)^(1/9) of g and g^-1
+    for s in (1e40, 1e-40):
         with pytest.raises(F.PositivityError):
             F.metric_from_g2(s * F.phi0())
-    # det B near 1e258 is still in range: g(c^3 phi0) = c^2 at c = 1e4
-    g, _ = F.metric_from_g2(1e12 * F.phi0())
-    assert np.abs(g.entries - 1e8 * np.eye(7)).max() <= 1e-12 * 1e8
+    # det B near 1e510 and 1e-480 overflows and underflows as a float, but
+    # its root does not: g(c^3 phi0) = c^2 at c = 1e8 and 1e-8
+    for c in (1e8, 1e-8):
+        g, vol = F.metric_from_g2(c ** 3 * F.phi0())
+        assert np.abs(g.entries - c ** 2 * np.eye(7)).max() <= 1e-12 * c ** 2
+        assert np.isclose(vol, c ** 7, rtol=1e-12)
+        assert np.abs(g.inverse() - c ** -2 * np.eye(7)).max() <= (
+            1e-12 * c ** -2)
+    # a user-built metric keeps sqrt(det g) in range the same way
+    tiny = Metric(7, 1e-50 * np.eye(7))
+    assert np.isclose(tiny.sqrt_det, 1e-175, rtol=1e-12)
 
 
 @pytest.mark.parametrize("name", list(bad_spd_inputs()))
