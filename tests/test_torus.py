@@ -377,6 +377,28 @@ def test_literal_first_step_is_inverse_laplacian_of_delta_psi():
     assert linf((eta1 - ops.mean_zero(direct)).to_grid()) < 1e-12
 
 
+def test_blocked_literal_step_matches_the_grid_formula():
+    # the step's source psi + f psi + *F(d eta), taken in theta blocks,
+    # against the same formula on the whole grid at once, at an eta where
+    # f and F are nonzero
+    ops = T.derivative_ops(N)
+    cfg = T.SolverConfig(N=N, eps=1e-2, seed=9)
+    _, psi, sigma = T.make_model_problem(cfg)
+    pot = cfg.eps * sigma
+    eta = T.picard_step(pot, psi, T.SpectralField.zero(2, N),
+                        scheme="joyce-literal")
+    got = T.picard_step(pot, psi, eta, scheme="joyce-literal").to_grid()
+    phi = T.constant(F.phi0(), N) + ops.d(pot).to_grid()
+    g, _ = F.metric_from_g2(phi)
+    deta = ops.d(eta).to_grid()
+    f = (1.0 / 3.0) * F.inner_product(g, deta, phi)
+    _, F_chi = F.theta_split(phi, deta)
+    source = psi + F.Form(7, 3, f[None] * psi.coeffs) + F.hodge_star(g, F_chi)
+    ref = ops.mean_zero(ops.inv_laplacian(ops.delta(T.to_spectral(source)),
+                                          project=True)).to_grid()
+    assert linf(got - ref) <= 1e-13 * linf(ref)
+
+
 def test_zero_torsion_fixed_point():
     cfg = T.SolverConfig(N=N, eps=0.0, seed=10)
     phi, psi, sigma = T.make_model_problem(cfg)
