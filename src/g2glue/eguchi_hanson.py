@@ -282,7 +282,7 @@ def radial_distance_many(k: float, rs: np.ndarray) -> np.ndarray:
     Where u > 1e150, u^2 overflows and d = 2 sqrt(r): the term dropped,
     a constant times k^(1/4), is below 1e-75 of it.  k = 0 is the flat
     cone, d = 2 sqrt(r).  (The Pfaff form
-    r (k + r^2)^(-1/4) 2F1(1/4, 1; 3/2; r^2 / (k + r^2)) loses up to 2e-4
+    r (k + r^2)^(-1/4) 2F1(1/4, 1; 3/2; r^2 / (k + r^2)) loses up to 3e-4
     relative where k << r^2, as its argument nears 1.)
     """
     rs = np.asarray(rs, dtype=float)
