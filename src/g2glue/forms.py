@@ -602,35 +602,37 @@ def theta(phi: Form) -> Form:
     return Form(7, 4, out.reshape(phi.coeffs.shape))
 
 
-def theta_split(phi: Form, chi: Form, h: float = 1e-3):
-    """Split Theta(phi + chi) = Theta(phi) - T(chi) - F(chi).
+def _pi1_coeff(g: Metric, psi: Form, chi: Form) -> np.ndarray:
+    """c = <chi, phi>_g / 7, so that pi_1 chi = c phi, read off
+    chi ^ psi = <chi, phi>_g vol_g with psi = *_g phi."""
+    return wedge(chi, psi).coeffs[0] / (7.0 * g.sqrt_det)
 
-    T approximates the negative directional derivative of theta at phi
-    by central differences with one Richardson level, so it is linear in
-    chi only up to that truncation; F is the remainder, quadratically
-    small in chi, with F(0) = 0.
 
-    The default step balances fourth-order truncation against roundoff
-    for unit-size chi (measured linearity defect ~3e-12; a 1e-5 step
-    leaves ~1e-10 of roundoff).
-    """
+def _theta_linear(g: Metric, phi: Form, psi: Form, chi: Form) -> Form:
+    """T_phi(chi) = -*_g P_phi chi, the exact linear term of Theta at phi
+    (Joyce, Compact Manifolds with Special Holonomy, Prop. 10.3.5), for
+    g = g(phi) and psi = *_g phi.  P_phi = (7/3) pi_1 + 2 pi_7 - Id, with
+    pi_1 chi = <chi, phi>_g phi / 7 and pi_7 chi = -(1/4) X -| psi for
+    X = g^-1 *_g(phi ^ chi).  Batched; phi's batch shape must be chi's."""
+    X = np.einsum("...ij,j...->i...", g.inverse(),
+                  hodge_star(g, wedge(phi, chi)).coeffs)
+    pi7 = -0.25 * interior_product(Vector(7, X), psi)
+    pi1 = Form(7, 3, _pi1_coeff(g, psi, chi) * phi.coeffs)
+    return -hodge_star(g, (7.0 / 3.0) * pi1 + 2.0 * pi7 - chi)
+
+
+def theta_split(phi: Form, chi: Form):
+    """Split Theta(phi + chi) = Theta(phi) - T(chi) - F(chi): T exact
+    (_theta_linear), F quadratically small in chi, F(0) = 0.  phi's metric
+    serves Theta(phi) = *_g phi and T; theta runs once more, at phi + chi."""
     phi._check_like(chi)
-
-    def dtheta(step):
-        plus = theta(phi + step * chi)
-        minus = theta(phi - step * chi)
-        return (1.0 / (2.0 * step)) * (plus - minus)
-
-    d1 = dtheta(h)
-    d2 = dtheta(h / 2.0)
-    richardson = (4.0 / 3.0) * d2 - (1.0 / 3.0) * d1
-    T_chi = -1.0 * richardson
-    F_chi = theta(phi) - T_chi - theta(phi + chi)
-    return T_chi, F_chi
+    g, _ = metric_from_g2(phi)
+    psi = hodge_star(g, phi)
+    T_chi = _theta_linear(g, phi, psi, chi)
+    return T_chi, psi - T_chi - theta(phi + chi)
 
 
 def pi1_project(phi: Form, chi: Form) -> Form:
     """Projection of a 3-form onto the line R*phi: (<chi,phi>_g / 7) phi."""
     g, _ = metric_from_g2(phi)
-    coeff = inner_product(g, chi, phi) / 7.0
-    return Form(7, 3, coeff * phi.coeffs)
+    return Form(7, 3, _pi1_coeff(g, hodge_star(g, phi), chi) * phi.coeffs)

@@ -46,9 +46,9 @@ import numpy as np
 import scipy.fft
 
 from .forms import (_THETA_BLOCK, Form, Metric, PositivityError,
-                    _wedge_table, hodge_star, index_list, inner_product,
-                    metric_from_g2, phi0, star_phi0, theta, theta_split,
-                    wedge)
+                    _pi1_coeff, _theta_linear, _wedge_table,
+                    hodge_star, index_list, metric_from_g2, phi0, star_phi0,
+                    theta)
 
 __all__ = [
     "SpectralField", "to_spectral", "constant", "SolverConfig", "SpectralOps",
@@ -266,24 +266,19 @@ def _star0_matrix(p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def flat_p_matrix() -> np.ndarray:
-    """P0 = (7/3) pi_1 + 2 pi_7 - Id on 3-forms at the flat structure,
-    assembled from exact rational projectors; D Theta|_{phi0} = *0 P0."""
-    p0 = phi0().coeffs
-    pi1 = np.outer(p0, p0) / 7.0
-    star3 = _star0_matrix(4)        # 4-forms -> 3-forms
-    pi7 = np.zeros((35, 35))
-    for i in range(7):
-        ei_phi = wedge(Form.basis(7, (i,)), phi0())      # e^i ^ phi0
-        q = star3 @ ei_phi.coeffs                        # *(e^i ^ phi0)
-        pi7 += np.outer(q, q) / 4.0
-    return (7.0 / 3.0) * pi1 + 2.0 * pi7 - np.eye(35)
+def flat_t_matrix() -> np.ndarray:
+    """T0 = -*0 P0: forms._theta_linear at phi0 on the 35 basis 3-forms as
+    one batch (T alone: a unit chi takes phi0 + chi out of the G2 cone)."""
+    phi = Form(7, 3, np.broadcast_to(phi0().coeffs[:, None], (35, 35)))
+    return _theta_linear(Metric.euclidean(7), phi, star_phi0(),
+                         Form(7, 3, np.eye(35))).coeffs
 
 
 @lru_cache(maxsize=None)
-def flat_t_matrix() -> np.ndarray:
-    """T0 = -*0 P0: the exact linear term of the split at phi0."""
-    return -_star0_matrix(3) @ flat_p_matrix()
+def flat_p_matrix() -> np.ndarray:
+    """P0 = (7/3) pi_1 + 2 pi_7 - Id on 3-forms at the flat structure,
+    read off T0 = -*0 P0 as P0 = -*0 T0 (** = Id in dimension 7)."""
+    return -_star0_matrix(4) @ flat_t_matrix()
 
 
 def _apply_symbol(ops: SpectralOps, spec: np.ndarray) -> np.ndarray:
@@ -508,11 +503,13 @@ def _literal_source(dpot: Form, deta: Form, psi: Form) -> Form:
         blk = slice(lo, lo + _THETA_BLOCK)
         phi = Form(7, 3, p0 + dpot_pts[:, blk])
         deta_b = Form(7, 3, deta_pts[:, blk])
-        g, _ = metric_from_g2(phi)
-        f = (1.0 / 3.0) * inner_product(g, deta_b, phi)
-        _, F_chi = theta_split(phi, deta_b)
-        psi_b = psi_pts[:, blk]
-        source[:, blk] = psi_b + f * psi_b + hodge_star(g, F_chi).coeffs
+        g, _ = metric_from_g2(phi)     # once, for f, T and Theta(phi)
+        theta_phi = hodge_star(g, phi)
+        f = (7.0 / 3.0) * _pi1_coeff(g, theta_phi, deta_b)
+        F_chi = (theta_phi - _theta_linear(g, phi, theta_phi, deta_b)
+                 - theta(phi + deta_b))
+        source[:, blk] = ((1.0 + f) * psi_pts[:, blk]
+                          + hodge_star(g, F_chi).coeffs)
     return Form(7, 3, source.reshape(psi.coeffs.shape))
 
 

@@ -628,6 +628,25 @@ def test_theta_equivariance_g2_permutation():
         assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-10
 
 
+def richardson_split(phi, chi, h=1e-3):
+    """Reference split: T by central differences of theta with one
+    Richardson level (5 theta evaluations), F the remainder.  The step
+    balances fourth-order truncation against roundoff for chi small
+    against phi (a 1e-5 step leaves ~1e-10 of roundoff)."""
+    def dtheta(step):
+        plus = F.theta(phi + step * chi)
+        minus = F.theta(phi - step * chi)
+        return (1.0 / (2.0 * step)) * (plus - minus)
+
+    T_chi = (1.0 / 3.0) * dtheta(h) - (4.0 / 3.0) * dtheta(h / 2.0)
+    return T_chi, F.theta(phi) - T_chi - F.theta(phi + chi)
+
+
+# a positive 3-form away from phi0, M^* phi0 with M = I + O(0.2)
+NONFLAT = F.pullback(np.eye(7) + 0.2 * np.random.default_rng(613).normal(
+    size=(7, 7)), F.phi0())
+
+
 def test_theta_split_zero():
     T0, F0 = F.theta_split(F.phi0(), Form.zero(7, 3))
     assert np.abs(T0.coeffs).max() < 1e-13
@@ -639,12 +658,13 @@ def test_theta_split_quadratic_remainder():
     chi = random_form(7, 3)
     chi = (1.0 / np.sqrt(F.inner_product(g0, chi, chi))) * chi
     svals = [1e-1, 1e-2, 1e-3, 1e-4]
-    norms = []
-    for s in svals:
-        _, Fs = F.theta_split(F.phi0(), s * chi)
-        norms.append(np.sqrt(F.inner_product(g0, Fs, Fs)))
-    slope = np.polyfit(np.log(svals), np.log(norms), 1)[0]
-    assert abs(slope - 2.0) < 0.05
+    for phi in (F.phi0(), NONFLAT):
+        norms = []
+        for s in svals:
+            _, Fs = F.theta_split(phi, s * chi)
+            norms.append(np.sqrt(F.inner_product(g0, Fs, Fs)))
+        slope = np.polyfit(np.log(svals), np.log(norms), 1)[0]
+        assert abs(slope - 2.0) < 0.05
 
 
 def test_theta_split_T_linear():
@@ -655,6 +675,47 @@ def test_theta_split_T_linear():
     for s in (1e-2, 1e-3):
         Ts, _ = F.theta_split(F.phi0(), s * chi)
         assert np.abs(Ts.coeffs - s * T1.coeffs).max() < 1e-10
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_theta_split_T_matches_richardson_reference(seed):
+    # T_phi = -*_g P_phi at 64 random positive phi = M^* phi0 (M of
+    # condition number at most 4), chi a tenth of phi's size, against
+    # central differences: 3.2e-11 relative at worst over 2000 such points
+    rng = np.random.default_rng(seed)
+    phi = F.pullback(random_gl_plus(rng, (64,)), F.phi0())
+    chi = rng.normal(size=(35, 64))
+    chi = Form(7, 3, chi * (0.1 * np.linalg.norm(phi.coeffs, axis=0)
+                            / np.linalg.norm(chi, axis=0)))
+    T_chi, _ = F.theta_split(phi, chi)
+    ref, _ = richardson_split(phi, chi)
+    err = np.abs(T_chi.coeffs - ref.coeffs).max(axis=0)
+    assert (err <= 1e-10 * np.abs(ref.coeffs).max(axis=0)).all()
+
+
+def test_pi1_pi7_are_orthogonal_projectors_in_g_phi():
+    # P_phi = (7/3) pi_1 + 2 pi_7 - Id, read off T_phi = -*_g P_phi on the
+    # 35 basis 3-forms at a non-flat phi (T is linear, so a small multiple
+    # of each keeps phi + chi positive); pi_1 from pi1_project, pi_7 the
+    # rest.  Both must be idempotent, g-self-adjoint, mutually
+    # annihilating and of rank 1 and 7.
+    s = 1e-3
+    E = np.eye(35)
+    phis = Form(7, 3, np.repeat(NONFLAT.coeffs[:, None], 35, axis=1))
+    g, _ = F.metric_from_g2(NONFLAT)
+    T_basis, _ = F.theta_split(phis, Form(7, 3, s * E))
+    P = -F.hodge_star(g, T_basis).coeffs / s
+    pi1 = F.pi1_project(phis, Form(7, 3, E)).coeffs
+    pi7 = 0.5 * (P + E - (7.0 / 3.0) * pi1)
+    gram = F.inner_product(g, Form(7, 3, E[:, :, None]),
+                           Form(7, 3, E[:, None, :]))
+    for proj, rank in ((pi1, 1), (pi7, 7)):
+        assert np.abs(proj @ proj - proj).max() < 1e-12
+        assert np.abs(gram @ proj - proj.T @ gram).max() < 1e-12
+        assert abs(np.trace(proj) - rank) < 1e-12
+    assert np.abs(pi1 @ pi7).max() < 1e-12
+    assert np.abs(pi7 @ pi1).max() < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -89,3 +89,26 @@ def test_no_lapack_factorizations_and_no_radial_quadrature():
               for node in ast.walk(fn)
               if isinstance(node, ast.Name) and node.id == "quad"]
     assert found == []
+
+
+def test_one_linearization_of_theta():
+    # forms._theta_linear is the one linearization of Theta: theta_split
+    # takes (phi, chi), with no step to tune, and evaluates theta once more,
+    # at phi + chi; torus reads T0 and P0 off it and assembles no
+    # projector of its own from outer products
+    tree = ast.parse((PACKAGE / "forms.py").read_text())
+    split = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "theta_split"]
+    assert len(split) == 1
+    args = split[0].args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["phi", "chi"]
+    assert not (args.kwonlyargs or args.vararg or args.kwarg)
+    calls = [node for node in ast.walk(split[0])
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr",
+                         getattr(node.func, "id", None)) == "theta"]
+    assert len(calls) <= 1
+    torus = ast.parse((PACKAGE / "torus.py").read_text())
+    assert [node.lineno for node in ast.walk(torus)
+            if isinstance(node, ast.Attribute) and node.attr == "outer"] == []

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from g2glue import forms as F
 from g2glue import torus as T
 from g2glue.forms import index_position
+from test_forms import richardson_split
 
 
 RNG = np.random.default_rng(99)
@@ -137,8 +138,19 @@ def test_flat_t_matrix_matches_finite_differences():
     for _ in range(3):
         chi = F.Form(7, 3, rng.normal(size=(35,)))
         chi = (0.3 / np.sqrt((chi.coeffs ** 2).sum())) * chi
-        T_fd, _ = F.theta_split(F.phi0(), chi)
+        T_fd, _ = richardson_split(F.phi0(), chi)
         assert np.abs(T0 @ chi.coeffs - T_fd.coeffs).max() < 1e-10
+
+
+def test_flat_p_matrix_matches_the_rational_projectors():
+    # P0 assembled from the exact projectors at phi0: pi_1 = phi0 phi0^T / 7
+    # and pi_7 = sum_i q_i q_i^T / 4 with q_i = *0(e^i ^ phi0)
+    p0 = F.phi0().coeffs
+    q = [T._star0_matrix(4) @ F.wedge(F.Form.basis(7, (i,)), F.phi0()).coeffs
+         for i in range(7)]
+    pi7 = sum(np.outer(v, v) for v in q) / 4.0
+    ref = (7.0 / 3.0) * np.outer(p0, p0) / 7.0 + 2.0 * pi7 - np.eye(35)
+    assert np.abs(T.flat_p_matrix() - ref).max() <= 1e-14
 
 
 def test_flat_p_matrix_spectrum():
