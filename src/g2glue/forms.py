@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,8 +40,17 @@ def index_list(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def index_position(dim: int, degree: int) -> dict[tuple[int, ...], int]:
-    return {idx: pos for pos, idx in enumerate(index_list(dim, degree))}
+def index_position(dim: int, degree: int) -> MappingProxyType:
+    """Read-only map from each sorted multi-index to its slot."""
+    return MappingProxyType(
+        {idx: pos for pos, idx in enumerate(index_list(dim, degree))})
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writable: a cached table is one array shared by every
+    caller, so a write into it would change every later result."""
+    a.flags.writeable = False
+    return a
 
 
 def sort_index(idx) -> tuple[int, tuple[int, ...]]:
@@ -383,12 +393,12 @@ def _contraction_plan(n: int, p: int):
                     if s:
                         src[k, r, c] = rows_prev[I] * len(pos_left) + pos_left[srt]
                         sign[k, r, c] = s
-        steps.append((src.ravel(), sign.ravel()))
+        steps.append(tuple(_read_only(x.ravel()) for x in (src, sign)))
         rows_prev = {(i,) + I: i * len(done) + r
                      for r, I in enumerate(done) for i in range(n)
                      if not I or i < I[0]}
     final = np.array([rows_prev[I] for I in index_list(n, p)], dtype=np.intp)
-    return tuple(steps), final
+    return tuple(steps), _read_only(final)
 
 
 def _lambda_action(M: np.ndarray, coeffs: np.ndarray, n: int, p: int):
@@ -417,16 +427,28 @@ def _lambda_action(M: np.ndarray, coeffs: np.ndarray, n: int, p: int):
 
 
 @lru_cache(maxsize=None)
-def _complement_matrix(n: int, p: int) -> np.ndarray:
-    """Signed permutation Lambda^p -> Lambda^{n-p}: the slot I goes to its
-    complement J with the sign of e^I ^ e^J against e^1 ^ .. ^ e^n."""
+def _complement(n: int, p: int):
+    """The signed permutation Lambda^p -> Lambda^{n-p} that places the slot
+    I at its complement J with the sign of e^I ^ e^J against
+    e^1 ^ .. ^ e^n, as a gather (src, sign): slot J of the result is
+    sign[J] * a[src[J]]."""
     pos_in = index_position(n, p)
-    out = index_list(n, n - p)
-    P = np.zeros((len(out), len(pos_in)))
-    for po, J in enumerate(out):
+    src, sign = [], []
+    for J in index_list(n, n - p):
         I = tuple(sorted(set(range(n)) - set(J)))
-        P[po, pos_in[I]] = merge_sign(I, J)
-    return P
+        src.append(pos_in[I])
+        sign.append(merge_sign(I, J))
+    return (_read_only(np.array(src, dtype=np.intp)),
+            _read_only(np.array(sign, dtype=float)))
+
+
+def _place(coeffs: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The complement placement of _complement on coefficients
+    (C(n,p), *batch), into a new array of shape (C(n,n-p), *batch)."""
+    src, sign = _complement(n, p)
+    out = coeffs[src]
+    out *= sign.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    return out
 
 
 def hodge_star(g: Metric, a: Form) -> Form:
@@ -442,15 +464,12 @@ def hodge_star(g: Metric, a: Form) -> Form:
     if g.dim != a.dim:
         raise ValueError("hodge star: dimension mismatch")
     n, p = a.dim, a.degree
-    place = _complement_matrix(n, p)
     sqdet = g.sqrt_det
     if p <= n - p:
-        dual = np.tensordot(place, _lambda_action(g.inverse(), a.coeffs, n, p),
-                            axes=1)
+        dual = _place(_lambda_action(g.inverse(), a.coeffs, n, p), n, p)
         dual *= sqdet           # in place: no second batch-sized array
     else:
-        placed = np.tensordot(place, a.coeffs, axes=1)
-        dual = _lambda_action(g.entries, placed, n, n - p)
+        dual = _lambda_action(g.entries, _place(a.coeffs, n, p), n, n - p)
         dual /= sqdet
     return Form(n, n - p, dual)
 
@@ -496,6 +515,17 @@ def star_phi0() -> Form:
     return hodge_star(Metric.euclidean(7), phi0())
 
 
+def _with_signs(c: np.ndarray) -> np.ndarray:
+    """[c, -c, 0] along the last axis of c (npts, 35): the 71 slots that
+    the signed gathers of _bryant_gathers index, so that a gather of
+    +-phi or 0 is a plain take, with no multiplication by signs."""
+    out = np.empty(c.shape[:-1] + (71,))
+    out[..., :35] = c
+    np.negative(c, out=out[..., 35:70])
+    out[..., 70] = 0.0
+    return out
+
+
 @lru_cache(maxsize=None)
 def _bryant_gathers():
     """Signed gathers from the 35 slots of phi for B = A W A^T.
@@ -504,30 +534,30 @@ def _bryant_gathers():
     table), and W[ab, cd] = +-phi_efg for disjoint slots ab, cd with efg
     the complement of ab u cd (the 2 x 2 wedge table, then the complement
     placement), so that alpha ^ beta ^ phi = alpha^T W beta for 2-forms.
-    Each is returned as (src, sign); sign 0 marks an entry that is 0.
+    Each is returned as indices into [phi, -phi, 0] (_with_signs): slot
+    k < 35 reads +phi_k, 35 + k reads -phi_k, and 70 an entry that is 0.
     """
-    a_src, a_sign = np.zeros((7, 21), dtype=np.intp), np.zeros((7, 21))
+    a = np.full((7, 21), 70, dtype=np.intp)
     for i, pi, po, sign in _interior_table(7, 3):
-        a_src[i, po], a_sign[i, po] = pi, sign
-    place = _complement_matrix(7, 4)            # one +-1 per column
-    slot3 = np.abs(place).argmax(axis=0)
-    w_src, w_sign = np.zeros((21, 21), dtype=np.intp), np.zeros((21, 21))
+        a[i, po] = pi if sign > 0 else 35 + pi
+    slot3, place = _complement(7, 3)            # 4-slot <- +-(3-slot)
+    w = np.full((21, 21), 70, dtype=np.intp)
     for pa, pb, po, sign in _wedge_table(7, 2, 2):
-        w_src[pa, pb], w_sign[pa, pb] = slot3[po], sign * place[slot3[po], po]
-    return a_src, a_sign, w_src, w_sign
+        w[pa, pb] = slot3[po] + (0 if sign * place[po] > 0 else 35)
+    return _read_only(a), _read_only(w)
 
 
 def _bryant_b(coeffs: np.ndarray) -> np.ndarray:
     """B_ij vol = (e_i -| phi) ^ (e_j -| phi) ^ phi for coefficients of
     shape (35, npts), as A W A^T in blocks of _BLOCK points; (npts, 7, 7),
     symmetric to the last bit."""
-    a_src, a_sign, w_src, w_sign = _bryant_gathers()
+    a, w = _bryant_gathers()
     npts = coeffs.shape[1]
     B = np.empty((npts, 7, 7))
     for lo in range(0, npts, _BLOCK):
-        c = coeffs[:, lo:lo + _BLOCK].T
-        A = c[:, a_src] * a_sign
-        Bb = A @ (c[:, w_src] * w_sign) @ np.swapaxes(A, 1, 2)
+        c = _with_signs(coeffs[:, lo:lo + _BLOCK].T)
+        A = c[:, a]
+        Bb = A @ c[:, w] @ np.swapaxes(A, 1, 2)
         B[lo:lo + _BLOCK] = 0.5 * (Bb + np.swapaxes(Bb, 1, 2))
     return B
 
@@ -575,21 +605,78 @@ def cross_product(phi: Form, g: Metric, u: Vector, v: Vector) -> Vector:
 
 # points per block of theta, so a batch holds at most this many 7 x 7
 # matrices (B, its elimination, g, g^-1) at once.  Measured on 4^7
-# points (one BLAS thread, 2-core Xeon, best of 15 interleaved runs):
-# 120 ms in blocks of 256, where each block pays the per-call cost of
-# the elimination's 7 unrolled steps and the gathers, 100 ms in blocks
-# of 1024, 96 ms in blocks of 2048, 103 ms in blocks of 4096 and 114 ms
-# as one batch.
+# points (one BLAS thread, 2-core Xeon, best of 15 interleaved runs, two
+# runs): 91-101 ms in blocks of 256, where each block pays the per-call
+# cost of the elimination's 7 unrolled steps and the gathers, 85-86 ms
+# in blocks of 1024, 86-87 ms in blocks of 2048, 85-91 ms in blocks of
+# 4096 and 99-103 ms as one batch.
 _THETA_BLOCK = 8 * _BLOCK
 
 
-def theta(phi: Form) -> Form:
-    """Nonlinear Hodge dual: phi |-> *_{g(phi)} phi (a 4-form).
+@lru_cache(maxsize=None)
+def _theta_gathers():
+    """Gathers for Theta_ijkl = sum_pq phi_ijp g^pq phi_klq
+    - (g_ik g_jl - g_il g_jk) on the 35 sorted 4-slots i < j < k < l.
 
-    The metric and the star are taken _THETA_BLOCK points at a time into
-    one output, so no batch-sized metric exists; each point's arithmetic
-    is that of one metric_from_g2 and hodge_star call.  Raises
-    PositivityError when any point is not a G2-structure.
+    phi_ijp = (e_p -| phi)_ij, so phi_ij. and phi_kl. are the columns (ij)
+    and (kl) of the interior-product table A of _bryant_gathers; each is
+    a (35, 7) signed gather, as indices into [phi, -phi, 0]
+    (_with_signs).  The third table holds the flat positions ik, jl, il
+    and jk in the 49 entries of a metric, (4, 35)."""
+    a = _bryant_gathers()[0]
+    pos2 = index_position(7, 2)
+    slots = index_list(7, 4)
+    u, v = (np.ascontiguousarray(a[:, [pos2[I[h]] for I in slots]].T)
+            for h in (slice(0, 2), slice(2, 4)))
+    pairs = np.array([[7 * I[x] + I[y] for I in slots]
+                      for x, y in ((0, 2), (1, 3), (0, 3), (1, 2))])
+    return _read_only(u), _read_only(v), _read_only(pairs)
+
+
+def _theta_at(g: Metric, phi: Form) -> Form:
+    """Theta(phi) = *_g phi for the metric g = g(phi) of phi itself, by the
+    G2 contraction identity (Bryant, Some remarks on G2-structures, 2005,
+    sec. 2): on sorted i < j < k < l,
+
+        Theta_ijkl = sum_pq phi_ijp g^pq phi_klq - (g_ik g_jl - g_il g_jk),
+
+    with the sign of the metric term that of this package's orientation
+    (Theta(phi0) = star_phi0()).  The identity needs g = g(phi); any other
+    metric takes hodge_star.  g's batch shape must be phi's.  _BLOCK
+    points at a time: two gathers of phi (_theta_gathers), one batched
+    35 x 7 @ 7 x 7 matmul by g^-1, a 7-term reduction and the metric term.
+    """
+    u, v, (ik, jl, il, jk) = _theta_gathers()
+    coeffs = phi.coeffs.reshape(35, -1)
+    npts = coeffs.shape[1]
+    g_flat = g.entries.reshape(npts, 49)
+    g_inv = g.inverse().reshape(npts, 7, 7)
+    out = np.empty((35, npts))
+    for lo in range(0, npts, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        c = _with_signs(coeffs[:, blk].T)
+        ug, w = c[:, u] @ g_inv[blk], c[:, v]
+        # the 7 terms in one fixed order, so that a point's bits do not
+        # depend on the batch around it (einsum's order does)
+        th = ug[..., 0] * w[..., 0]
+        for q in range(1, 7):
+            th += ug[..., q] * w[..., q]
+        e = g_flat[blk]
+        th -= e[:, ik] * e[:, jl] - e[:, il] * e[:, jk]
+        out[:, blk] = th.T
+    return Form(7, 4, out.reshape(phi.coeffs.shape))
+
+
+def theta(phi: Form) -> Form:
+    """Nonlinear Hodge dual: phi |-> Theta(phi) = *_{g(phi)} phi (a 4-form).
+
+    Taken by the contraction identity of _theta_at, Theta_ijkl =
+    sum_pq phi_ijp g^pq phi_klq - (g_ik g_jl - g_il g_jk) on sorted
+    i < j < k < l (Bryant, Some remarks on G2-structures, 2005, sec. 2),
+    with the metric term's sign fixed by Theta(phi0) = star_phi0(), and not
+    by a general Hodge star.  The metric and Theta are taken _THETA_BLOCK
+    points at a time into one output, so no batch-sized metric exists.
+    Raises PositivityError when any point is not a G2-structure.
     """
     if phi.dim != 7 or phi.degree != 3:
         raise ValueError("theta expects a 3-form in dimension 7")
@@ -598,7 +685,7 @@ def theta(phi: Form) -> Form:
     for lo in range(0, coeffs.shape[1], _THETA_BLOCK):
         block = Form(7, 3, coeffs[:, lo:lo + _THETA_BLOCK])
         g, _ = metric_from_g2(block)
-        out[:, lo:lo + _THETA_BLOCK] = hodge_star(g, block).coeffs
+        out[:, lo:lo + _THETA_BLOCK] = _theta_at(g, block).coeffs
     return Form(7, 4, out.reshape(phi.coeffs.shape))
 
 
@@ -627,7 +714,7 @@ def theta_split(phi: Form, chi: Form):
     serves Theta(phi) = *_g phi and T; theta runs once more, at phi + chi."""
     phi._check_like(chi)
     g, _ = metric_from_g2(phi)
-    psi = hodge_star(g, phi)
+    psi = _theta_at(g, phi)
     T_chi = _theta_linear(g, phi, psi, chi)
     return T_chi, psi - T_chi - theta(phi + chi)
 
@@ -635,4 +722,4 @@ def theta_split(phi: Form, chi: Form):
 def pi1_project(phi: Form, chi: Form) -> Form:
     """Projection of a 3-form onto the line R*phi: (<chi,phi>_g / 7) phi."""
     g, _ = metric_from_g2(phi)
-    return Form(7, 3, _pi1_coeff(g, hodge_star(g, phi), chi) * phi.coeffs)
+    return Form(7, 3, _pi1_coeff(g, _theta_at(g, phi), chi) * phi.coeffs)

@@ -26,8 +26,9 @@ import numpy as np
 import sympy as sp
 
 from . import eguchi_hanson as eh
-from .forms import (Form, PositivityError, hodge_star, index_list,
-                    index_position, inner_product, metric_from_g2, wedge)
+from .forms import (Form, PositivityError, _read_only, _theta_at, hodge_star,
+                    index_list, index_position, inner_product, metric_from_g2,
+                    wedge)
 
 __all__ = [
     "TorusIsometry", "ALPHA", "BETA", "GAMMA", "INVARIANT_PHI_TERMS",
@@ -307,7 +308,8 @@ def _glue_slots():
                     for i in range(3)])
     theta = np.array([[pos4[(j, k, a + 3, b + 3)] for a, b in fiber]
                       for j, k in ((1, 2), (0, 2), (0, 1))])
-    return pos3[(0, 1, 2)], phi, theta, pos4[(3, 4, 5, 6)]
+    return (pos3[(0, 1, 2)], _read_only(phi), _read_only(theta),
+            pos4[(3, 4, 5, 6)])
 
 
 @lru_cache(maxsize=None)
@@ -412,7 +414,7 @@ def torsion_form(t: float, rs, chart: GluingChart | None = None):
     rs = np.asarray(rs, dtype=float)
     phi, theta_t = glued_structure(t, rs, chart)
     g, vol = metric_from_g2(phi)
-    mismatch = hodge_star(g, phi) - theta_t         # Theta(phi) with this g
+    mismatch = _theta_at(g, phi) - theta_t         # Theta(phi) with this g
     psi = hodge_star(g, mismatch)
     # |psi|^2 vol = psi ^ *psi, and *psi = **mismatch = mismatch since
     # ** = id in dimension 7: no third star is taken
@@ -507,16 +509,22 @@ def plateau_metric_error(t: float) -> dict:
 
 def positivity_threshold(t_candidates=None) -> float:
     """Largest sampled t for which phi_t stays a G2-structure across the
-    gluing annulus (the runtime stand-in for 'for t small enough')."""
+    gluing annulus (the runtime stand-in for 'for t small enough'), or 0.0
+    if there is none.
+
+    Every candidate is validated first (GluingChart raises ValueError for
+    t outside (0, 1)); the scan then runs in descending t and stops at the
+    first t that passes.  It runs only the positivity gate,
+    metric_from_g2 of the glued phi_t at 400 annulus radii, and builds no
+    torsion."""
     if t_candidates is None:
         t_candidates = np.geomspace(0.2, 0.001, 24)
-    best = 0.0
-    for t in sorted(t_candidates):
-        chart = GluingChart(t)
+    charts = [GluingChart(t) for t in t_candidates]
+    for chart in sorted(charts, key=lambda c: c.t, reverse=True):
         s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999, 400)
         try:
-            torsion_form(t, chart.r_of_s(s), chart)
+            metric_from_g2(glued_structure(chart.t, chart.r_of_s(s), chart)[0])
         except PositivityError:
             continue
-        best = max(best, t)
-    return best
+        return float(chart.t)
+    return 0.0

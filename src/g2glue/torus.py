@@ -46,9 +46,9 @@ import numpy as np
 import scipy.fft
 
 from .forms import (_THETA_BLOCK, Form, Metric, PositivityError,
-                    _pi1_coeff, _theta_linear, _wedge_table,
-                    hodge_star, index_list, metric_from_g2, phi0, star_phi0,
-                    theta)
+                    _pi1_coeff, _place, _read_only, _theta_at, _theta_linear,
+                    _wedge_table, hodge_star, index_list, metric_from_g2, phi0,
+                    star_phi0, theta)
 
 __all__ = [
     "SpectralField", "to_spectral", "constant", "SolverConfig", "SpectralOps",
@@ -186,14 +186,17 @@ class SpectralOps:
         self.N = N
         ms = [np.fft.fftfreq(N) * N for _ in range(7)]
         ms[6] = np.fft.rfftfreq(N) * N
-        # shaped to broadcast over the 7 grid axes (component axis excluded)
-        self.m = [m.reshape((1,) * ax + (-1,) + (1,) * (6 - ax))
-                  for ax, m in enumerate(ms)]
-        self.m2 = sum((m ** 2 for m in self.m), start=np.zeros((1,) * 7))
+        # shaped to broadcast over the 7 grid axes (component axis
+        # excluded); read-only, as derivative_ops shares one instance per N
+        self.m = tuple(
+            _read_only(m.reshape((1,) * ax + (-1,) + (1,) * (6 - ax)))
+            for ax, m in enumerate(ms))
+        self.m2 = _read_only(sum((m ** 2 for m in self.m),
+                                 start=np.zeros((1,) * 7)))
         # the Laplacian symbol 4 pi^2 |m|^2, set to 1 at the zero mode so
         # that dividing by it leaves that mode as it is
         lap = TWO_PI ** 2 * self.m2
-        self.lap_nonzero = np.where(lap == 0.0, 1.0, lap)
+        self.lap_nonzero = _read_only(np.where(lap == 0.0, 1.0, lap))
 
     def _m_action(self, spec: np.ndarray, p: int, q: int, factor):
         """factor (m ^ .) for q = p + 1, or its transpose (m -| .) for
@@ -260,9 +263,16 @@ def derivative_ops(N: int) -> SpectralOps:
 
 @lru_cache(maxsize=None)
 def _star0_matrix(p: int) -> np.ndarray:
-    """Euclidean Hodge star on degree p as a signed permutation matrix."""
-    basis = Form(7, p, np.eye(len(index_list(7, p))))
-    return hodge_star(Metric.euclidean(7), basis).coeffs
+    """Euclidean Hodge star on degree p as a signed permutation matrix:
+    the complement placement (forms._place) of the basis."""
+    return _read_only(_place(np.eye(len(index_list(7, p))), 7, p))
+
+
+def _star0(field: SpectralField) -> SpectralField:
+    """The Euclidean Hodge star *0 on a half spectrum: the signed
+    permutation of the components (forms._place), one gather."""
+    return SpectralField(7 - field.degree, _place(field.spec, 7, field.degree),
+                         field.N)
 
 
 @lru_cache(maxsize=None)
@@ -270,15 +280,15 @@ def flat_t_matrix() -> np.ndarray:
     """T0 = -*0 P0: forms._theta_linear at phi0 on the 35 basis 3-forms as
     one batch (T alone: a unit chi takes phi0 + chi out of the G2 cone)."""
     phi = Form(7, 3, np.broadcast_to(phi0().coeffs[:, None], (35, 35)))
-    return _theta_linear(Metric.euclidean(7), phi, star_phi0(),
-                         Form(7, 3, np.eye(35))).coeffs
+    return _read_only(_theta_linear(Metric.euclidean(7), phi, star_phi0(),
+                                    Form(7, 3, np.eye(35))).coeffs)
 
 
 @lru_cache(maxsize=None)
 def flat_p_matrix() -> np.ndarray:
     """P0 = (7/3) pi_1 + 2 pi_7 - Id on 3-forms at the flat structure,
     read off T0 = -*0 P0 as P0 = -*0 T0 (** = Id in dimension 7)."""
-    return -_star0_matrix(4) @ flat_t_matrix()
+    return _read_only(-_star0_matrix(4) @ flat_t_matrix())
 
 
 def _apply_symbol(ops: SpectralOps, spec: np.ndarray) -> np.ndarray:
@@ -306,13 +316,6 @@ def _apply_kernel_projector(N: int, field: SpectralField) -> SpectralField:
     spec = field.spec
     return SpectralField(
         2, spec + _apply_symbol(ops, spec) / ops.lap_nonzero, N)
-
-
-def _apply_matrix(M: np.ndarray, field: SpectralField,
-                  degree_out: int) -> SpectralField:
-    """A constant linear map of forms, such as *0, on a half spectrum."""
-    return SpectralField(degree_out, np.tensordot(M, field.spec, axes=1),
-                         field.N)
 
 
 def _flat_split_F(chi: Form) -> Form:
@@ -442,7 +445,7 @@ def make_model_problem(cfg: SolverConfig):
         block = Form(7, 3, phi_pts[:, lo:lo + _THETA_BLOCK])
         g, _ = metric_from_g2(block)
         psi[:, lo:lo + _THETA_BLOCK] = hodge_star(
-            g, hodge_star(g, block) - Form(7, 4, star0)).coeffs
+            g, _theta_at(g, block) - Form(7, 4, star0)).coeffs
     return phi, Form(7, 3, psi.reshape(phi.coeffs.shape)), sigma
 
 
@@ -471,9 +474,8 @@ def picard_step(pot: SpectralField, psi: Form | None, eta: SpectralField,
     ops = derivative_ops(N)
     if scheme == "flat-split":
         # nested calls, so that chi, F and *0 F are each freed once read
-        sol = _apply_symbol_pinv(N, ops.delta(_apply_matrix(
-            _star0_matrix(4),
-            to_spectral(_flat_split_F(ops.d(pot + eta).to_grid())), 3)))
+        sol = _apply_symbol_pinv(N, ops.delta(_star0(
+            to_spectral(_flat_split_F(ops.d(pot + eta).to_grid())))))
         # A acted on eta + pot; peel the model part off (in place, as sol
         # is this step's own), drop the mean and keep the iterate the
         # spectrum of the real field it stands for
@@ -504,7 +506,7 @@ def _literal_source(dpot: Form, deta: Form, psi: Form) -> Form:
         phi = Form(7, 3, p0 + dpot_pts[:, blk])
         deta_b = Form(7, 3, deta_pts[:, blk])
         g, _ = metric_from_g2(phi)     # once, for f, T and Theta(phi)
-        theta_phi = hodge_star(g, phi)
+        theta_phi = _theta_at(g, phi)
         f = (7.0 / 3.0) * _pi1_coeff(g, theta_phi, deta_b)
         F_chi = (theta_phi - _theta_linear(g, phi, theta_phi, deta_b)
                  - theta(phi + deta_b))
@@ -612,7 +614,7 @@ def _cg_step(ops: SpectralOps, pot: SpectralField,
     rearranged scheme is exact and is what the acceptance run uses."""
     d_theta = ops.d(to_spectral(theta(_phi_tilde(ops, pot, eta))))  # 5-form
     # *0 -> 2-form: the residual is a real field on the grid
-    resid2 = _apply_matrix(_star0_matrix(5), d_theta, 2).hermitian()
+    resid2 = _star0(d_theta).hermitian()
     return ops.mean_zero(eta + _apply_symbol_pinv(ops.N, resid2)).hermitian()
 
 

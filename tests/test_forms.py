@@ -355,6 +355,32 @@ LINALG_FACTORIZATIONS = ("cholesky", "det", "eig", "eigh", "eigvals",
                          "solve", "svd")
 
 
+def dense_placement(n, p):
+    """The complement placement of the Hodge star as a dense +-1 matrix
+    Lambda^p -> Lambda^{n-p}, from merge_sign: the reference of the
+    gather forms._place."""
+    pos_in = {I: k for k, I in enumerate(combinations(range(n), p))}
+    out = list(combinations(range(n), n - p))
+    P = np.zeros((len(out), len(pos_in)))
+    for r, J in enumerate(out):
+        I = tuple(sorted(set(range(n)) - set(J)))
+        P[r, pos_in[I]] = F.merge_sign(I, J)
+    return P
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_complement_gather_equals_the_dense_product(n):
+    # a signed permutation as a gather gives the dense product's bits, on
+    # real coefficients and on complex ones (half spectra)
+    rng = np.random.default_rng(n)
+    for p in range(n + 1):
+        P = dense_placement(n, p)
+        a = rng.normal(size=(P.shape[1], 3, 4))
+        z = a + 1j * rng.normal(size=a.shape)
+        assert np.array_equal(F._place(a, n, p), np.tensordot(P, a, axes=1))
+        assert np.array_equal(F._place(z, n, p), np.tensordot(P, z, axes=1))
+
+
 def test_theta_factors_each_metric_once(monkeypatch):
     # metric_from_g2's elimination of B is the only factorization: g
     # carries sqrt(det g) = vol and g^-1 from it, so neither the Metric
@@ -746,27 +772,46 @@ def test_pi1_idempotent():
 
 def test_blocked_theta_matches_one_batch():
     # three whole theta blocks and a ragged tail, against the metric and
-    # star of the whole batch at once
+    # the Theta kernel of the whole batch at once: the same arithmetic at
+    # every point, so the same bits
     npts = 3 * F._THETA_BLOCK + 123
     rng = np.random.default_rng(17)
     phi = F.pullback(random_gl_plus(rng, (npts,)), F.phi0())
-    ref = F.hodge_star(F.metric_from_g2(phi)[0], phi).coeffs
+    ref = F._theta_at(F.metric_from_g2(phi)[0], phi).coeffs
     got = F.theta(phi).coeffs
     assert got.shape == ref.shape == (35, npts)
-    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.array_equal(got, ref)
     # the same on a batch shaped like a grid, and on one point
     grid = Form(7, 3, phi.coeffs[:, :2 * 3 * 5 * 7 * 11].reshape(
         (35, 2, 3, 5, 7, 11)))
     assert np.array_equal(F.theta(grid).coeffs.reshape(35, -1),
                           got[:, :2 * 3 * 5 * 7 * 11])
     one = Form(7, 3, phi.coeffs[:, -1])
-    assert np.abs(F.theta(one).coeffs - ref[:, -1]).max() <= (
-        1e-15 * np.abs(ref).max())
+    assert np.array_equal(F.theta(one).coeffs, ref[:, -1])
     # a point outside the G2 cone in the last (ragged) block only
     bad = phi.coeffs.copy()
     bad[:, -1] *= -1.0
     with pytest.raises(F.PositivityError):
         F.theta(Form(7, 3, bad))
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1))
+def test_theta_kernel_matches_hodge_star(seed):
+    # the contraction identity of _theta_at against the general star in
+    # the same metric, at 64 random positive phi = M^* phi0 (M of
+    # condition number at most 4): 4.9e-15 relative at worst over 800 000
+    # such points.  phi ^ Theta(phi) = |phi|^2_g vol_g = 7 vol_g was off
+    # by more than 1e-14 at 1 of those points (1.07e-14)
+    rng = np.random.default_rng(seed)
+    phi = F.pullback(random_gl_plus(rng, (64,)), F.phi0())
+    g, vol = F.metric_from_g2(phi)
+    ref = F.hodge_star(g, phi).coeffs
+    got = F._theta_at(g, phi).coeffs
+    err = np.abs(got - ref).max(axis=0)
+    assert (err <= 5e-15 * np.abs(ref).max(axis=0)).all()
+    norm2 = F.wedge(phi, Form(7, 4, got)).coeffs[0] / vol
+    assert np.abs(norm2 - 7.0).max() <= 1e-14
 
 
 def test_batched_matches_pointwise():

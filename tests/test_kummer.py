@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 
 from g2glue import eguchi_hanson as EH
+from g2glue import forms as F
 from g2glue import kummer as KM
 from g2glue.forms import (Form, PositivityError, index_list, index_position,
                           inner_product, metric_from_g2, wedge)
@@ -324,6 +325,59 @@ def test_positivity_threshold_below_stated_range():
     t0 = KM.positivity_threshold(np.array([0.2, 0.1, 0.05, 0.025, 0.02,
                                            0.01]))
     assert 0.01 <= t0 < 0.025
+
+
+def _threshold_by_torsion(candidates):
+    """The largest t at which torsion_form builds psi_t on the 400 radii
+    of the scan without PositivityError, or 0.0: the threshold as defined,
+    by brute force over every candidate."""
+    passing = [0.0]
+    for t in candidates:
+        chart = KM.GluingChart(t)
+        s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999, 400)
+        try:
+            KM.torsion_form(t, chart.r_of_s(s), chart)
+        except PositivityError:
+            continue
+        passing.append(t)
+    return max(passing)
+
+
+def test_positivity_threshold_is_the_largest_passing_t():
+    # the descending gate-only scan against the brute-force maximum on
+    # shuffled, all-failing and all-passing candidate lists
+    shuffled = list(np.random.default_rng(3).permutation(
+        np.geomspace(0.2, 0.001, 24)))
+    for candidates in (shuffled, [0.05, 0.2, 0.1, 0.025], [0.001, 0.01, 0.005]):
+        t0 = KM.positivity_threshold(candidates)
+        assert type(t0) is float
+        assert t0 == _threshold_by_torsion(candidates)
+    assert KM.positivity_threshold([0.05, 0.2, 0.1, 0.025]) == 0.0
+    assert KM.positivity_threshold([0.001, 0.01, 0.005]) == 0.01
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, -0.01, float("nan")])
+def test_positivity_threshold_refuses_any_invalid_t(bad):
+    # the scan stops at the first t that passes, so every candidate is
+    # validated before it starts
+    for candidates in ([bad, 0.01, 0.005], [0.01, bad, 0.005],
+                       [0.01, 0.005, bad]):
+        with pytest.raises(ValueError):
+            KM.positivity_threshold(candidates)
+
+
+def test_positivity_threshold_runs_only_the_gate(monkeypatch):
+    # the scan takes phi_t's metric and builds no torsion: with every
+    # Hodge star and torsion_form refused it still returns
+    expected = KM.positivity_threshold()
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the positivity scan takes no Hodge star")
+    for module in (F, KM):
+        monkeypatch.setattr(module, "hodge_star", refused)
+    monkeypatch.setattr(KM, "torsion_form", refused)
+    assert KM.positivity_threshold() == expected
+    assert 0.01 <= expected < 0.025
 
 
 def test_torsion_rejects_positivity_failure():

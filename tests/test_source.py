@@ -1,11 +1,21 @@
 """Source-level rules for the g2glue package."""
 
 import ast
+import importlib
 from pathlib import Path
+from types import MappingProxyType
+
+import numpy as np
+import sympy as sp
 
 import g2glue
 
 PACKAGE = Path(g2glue.__file__).parent
+
+
+def _called(node):
+    """The name a Call node calls, bare or as an attribute."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
 
 
 def test_no_assert_statements():
@@ -112,3 +122,88 @@ def test_one_linearization_of_theta():
     torus = ast.parse((PACKAGE / "torus.py").read_text())
     assert [node.lineno for node in ast.walk(torus)
             if isinstance(node, ast.Attribute) and node.attr == "outer"] == []
+
+
+def test_theta_of_an_eliminated_phi_takes_the_kernel():
+    # Theta(phi) = *_{g(phi)} phi has its own kernel, forms._theta_at (the
+    # G2 contraction identity); hodge_star stays the general star, so no
+    # function passes it a phi whose metric it eliminated itself
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            calls = [node for node in ast.walk(fn)
+                     if isinstance(node, ast.Call)]
+            eliminated = {ast.unparse(node.args[0]) for node in calls
+                          if _called(node) == "metric_from_g2" and node.args}
+            found += [f"{path.name}:{node.lineno}" for node in calls
+                      if _called(node) == "hodge_star"
+                      and len(node.args) == 2
+                      and ast.unparse(node.args[1]) in eliminated]
+    assert found == []
+
+
+# arguments for every lru_cache'd function of the package; a cached
+# function missing here fails the sweep below
+CACHED_CALLS = {
+    "forms.index_list": [(7, 3)],
+    "forms.index_position": [(7, 3)],
+    "forms._wedge_table": [(7, 2, 2)],
+    "forms._interior_table": [(7, 3)],
+    "forms._contraction_plan": [(7, 3), (4, 2)],
+    "forms._complement": [(7, 3), (7, 4)],
+    "forms._bryant_gathers": [()],
+    "forms._theta_gathers": [()],
+    "eguchi_hanson._monomials": [(2,)],
+    "kummer._glue_slots": [()],
+    "kummer._fiber_forms": [()],
+    "torus.derivative_ops": [(4,)],
+    "torus._star0_matrix": [(4,), (5,)],
+    "torus.flat_t_matrix": [()],
+    "torus.flat_p_matrix": [()],
+}
+
+
+def _writable(obj, path, seen):
+    """Paths of the writable arrays and mutable containers reachable from
+    a cached result: through tuples, read-only mappings and the attributes
+    of plain objects (sympy expressions and functions are immutable)."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.flags.writeable else []
+    if isinstance(obj, (list, dict, set, bytearray)):
+        return [path]
+    if isinstance(obj, (tuple, frozenset)):
+        items = enumerate(obj)
+    elif isinstance(obj, MappingProxyType):
+        items = obj.items()
+    elif (hasattr(obj, "__dict__") and not callable(obj)
+          and not isinstance(obj, sp.Basic)):
+        items = vars(obj).items()
+    else:
+        return []
+    return [p for key, value in items
+            for p in _writable(value, f"{path}[{key!r}]", seen)]
+
+
+def test_cached_tables_are_read_only():
+    # a cached table is one object shared by every caller: a write into
+    # it would change every later result in the process
+    modules = {name: importlib.import_module(f"g2glue.{name}")
+               for name in ("forms", "torus", "kummer", "eguchi_hanson",
+                            "cone", "cli")}
+    cached = {f"{name}.{attr}" for name, module in modules.items()
+              for attr, value in vars(module).items()
+              if hasattr(value, "cache_info")
+              and value.__module__ == module.__name__}
+    assert cached == set(CACHED_CALLS)
+    found = []
+    for qualname, arg_lists in CACHED_CALLS.items():
+        name, attr = qualname.split(".")
+        for args in arg_lists:
+            result = getattr(modules[name], attr)(*args)
+            found += _writable(result, f"{qualname}{args}", set())
+    assert found == []

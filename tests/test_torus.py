@@ -153,6 +153,34 @@ def test_flat_p_matrix_matches_the_rational_projectors():
     assert np.abs(T.flat_p_matrix() - ref).max() <= 1e-14
 
 
+def test_star0_is_the_euclidean_star():
+    # _star0_matrix and the spectral _star0 are the Euclidean hodge_star
+    rng = np.random.default_rng(4)
+    for p in range(8):
+        nc = len(F.index_list(7, p))
+        star = F.hodge_star(F.Metric.euclidean(7), F.Form(7, p, np.eye(nc)))
+        assert np.array_equal(T._star0_matrix(p), star.coeffs)
+        spec = (rng.normal(size=(nc,) + (4,) * 6 + (3,))
+                + 1j * rng.normal(size=(nc,) + (4,) * 6 + (3,)))
+        got = T._star0(T.SpectralField(p, spec, 4))
+        assert got.degree == 7 - p
+        assert np.array_equal(got.spec,
+                              np.tensordot(T._star0_matrix(p), spec, axes=1))
+
+
+def test_cached_flat_matrices_are_read_only():
+    # one cached array serves every caller, so a write must fail instead
+    # of changing P0 for the rest of the process
+    P0 = T.flat_p_matrix().copy()
+    with pytest.raises(ValueError):
+        T.flat_p_matrix()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        T.flat_t_matrix()[:] *= 2.0
+    with pytest.raises(ValueError):
+        T._star0_matrix(4)[0, 0] = 0.0
+    assert np.array_equal(T.flat_p_matrix(), P0)
+
+
 def test_flat_p_matrix_spectrum():
     # P0 = (4/3) pi_1 + pi_7 - pi_27: eigenvalues 4/3, 1, -1 with
     # multiplicities 1, 7, 27
