@@ -18,7 +18,7 @@ by the six explicit harmonic 2-forms of the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +31,7 @@ __all__ = [
     "harmonic_oracle_r4", "order_minus2_basis", "decaying_pair_forms",
     "constant_two_forms", "s3_function_spectrum_check",
     "RatePiece", "jk_rate_bound", "naive_gradient_table",
-    "naive_value_table", "refined_gradient_table", "refined_value_table",
+    "naive_value_table", "refined_gradient_table",
     "kappa_feasible", "linf_exponent", "best_B",
     "InsufficientSpectrumError",
 ]
@@ -646,19 +646,15 @@ def jk_rate_bound(pieces: list, weight_exponent) -> Fraction | None:
     return best
 
 
-def _p(label, e_lo, e_hi, terms):
-    return RatePiece(label, e_lo, e_hi, terms)
-
-
 def naive_gradient_table(B) -> list:
     """|grad(torsion 4-form)| of the one-cutoff gluing: O(1) in the core,
     O(rcheck^-4) in the transition tail, O(t^-1 rcheck^-5 + 1) on the
     interpolation neck at rcheck ~ t^B, zero outside."""
     B = Fraction(B)
     return [
-        _p("core", 0, 0, [(0, 0)]),
-        _p("tail", 0, B, [(0, -4)]),
-        _p("neck", B, B, [(-1, -5), (0, 0)]),
+        RatePiece("core", 0, 0, [(0, 0)]),
+        RatePiece("tail", 0, B, [(0, -4)]),
+        RatePiece("neck", B, B, [(-1, -5), (0, 0)]),
     ]
 
 
@@ -667,9 +663,9 @@ def naive_value_table(B) -> list:
     O(t^{-4B} + t^{1+B}) neck."""
     B = Fraction(B)
     return [
-        _p("core", 0, 0, [(1, 0)]),
-        _p("tail", 0, B, [(1, -3)]),
-        _p("neck", B, B, [(0, -4), (1, 1)]),
+        RatePiece("core", 0, 0, [(1, 0)]),
+        RatePiece("tail", 0, B, [(1, -3)]),
+        RatePiece("neck", B, B, [(0, -4), (1, 1)]),
     ]
 
 
@@ -678,22 +674,12 @@ def refined_gradient_table(gamma=Fraction(1, 1000)) -> list:
     two interpolation scales at rcheck ~ t^{-1/9} and rcheck ~ t^{-4/5}."""
     g = Fraction(gamma)
     return [
-        _p("core", 0, 0, [(1, 0)]),
-        _p("inner", 0, Fraction(-1, 9), [(1, 1)]),
-        _p("bump1", Fraction(-1, 9), Fraction(-1, 9), [(Fraction(8, 9), 0)]),
-        _p("mid", Fraction(-1, 9), Fraction(-4, 5), [(1, -3 + g)]),
-        _p("bump2", Fraction(-4, 5), Fraction(-4, 5), [(3, 0)]),
-    ]
-
-
-def refined_value_table(gamma=Fraction(1, 1000)) -> list:
-    g = Fraction(gamma)
-    return [
-        _p("core", 0, 0, [(2, 0)]),
-        _p("inner", 0, Fraction(-1, 9), [(2, 2)]),
-        _p("bump1", Fraction(-1, 9), Fraction(-1, 9), [(Fraction(16, 9), 0)]),
-        _p("mid", Fraction(-1, 9), Fraction(-4, 5), [(2, -2 + g)]),
-        _p("bump2", Fraction(-4, 5), Fraction(-4, 5), [(Fraction(16, 5), 0)]),
+        RatePiece("core", 0, 0, [(1, 0)]),
+        RatePiece("inner", 0, Fraction(-1, 9), [(1, 1)]),
+        RatePiece("bump1", Fraction(-1, 9), Fraction(-1, 9),
+                  [(Fraction(8, 9), 0)]),
+        RatePiece("mid", Fraction(-1, 9), Fraction(-4, 5), [(1, -3 + g)]),
+        RatePiece("bump2", Fraction(-4, 5), Fraction(-4, 5), [(3, 0)]),
     ]
 
 

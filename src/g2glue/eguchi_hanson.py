@@ -24,7 +24,6 @@ from types import MappingProxyType
 
 import numpy as np
 import sympy as sp
-from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 from .forms import Form, Metric, hodge_star, merge_sign
@@ -35,7 +34,7 @@ __all__ = [
     "radial_distance", "radial_distance_many", "sphere_geometry",
     "ale_decay_ratio", "scaling_pullback_check",
     "WeightedNormSpec", "weighted_norm", "rescaling_invariance_check",
-    "nu_l2_integral", "eh_metric_coefficients",
+    "eh_metric_coefficients",
 ]
 
 R, K = sp.symbols("r k", positive=True)
@@ -211,10 +210,6 @@ class RadialForm:
         return all(_over_u(c) == 0 for c in self.coeffs.values())
 
 
-def _mono_form(degree, entries, frame="left"):
-    return RadialForm(degree, entries, frame)
-
-
 # ----------------------------------------------------------------------
 # the standard forms of the family
 # ----------------------------------------------------------------------
@@ -225,9 +220,9 @@ def hyperkaehler_triple(frame_sign: int = 1):
     the same radial expressions over the right-invariant coframe."""
     frame = "left" if frame_sign == 1 else "right"
     f = f_sym()
-    om1 = _mono_form(2, {(0, 1): R / f ** 2, (2, 3): f ** 2}, frame)
-    om2 = _mono_form(2, {(0, 2): 1, (1, 3): -R}, frame)          # dr^eta2 + r eta3^eta1
-    om3 = _mono_form(2, {(0, 3): 1, (1, 2): R}, frame)           # dr^eta3 + r eta1^eta2
+    om1 = RadialForm(2, {(0, 1): R / f ** 2, (2, 3): f ** 2}, frame)
+    om2 = RadialForm(2, {(0, 2): 1, (1, 3): -R}, frame)          # dr^eta2 + r eta3^eta1
+    om3 = RadialForm(2, {(0, 3): 1, (1, 2): R}, frame)           # dr^eta3 + r eta1^eta2
     return om1, om2, om3
 
 
@@ -235,9 +230,9 @@ def harmonic_forms():
     """Symbolic (nu, lambda, tau_1): nu = d lambda is the L^2 harmonic
     2-form, tau_1 primitive for omega_1^(k) - omega_1^(0)."""
     f = f_sym()
-    nu = _mono_form(2, {(0, 1): R / f ** 6, (2, 3): -1 / f ** 2})
-    lam = _mono_form(1, {(1,): -1 / f ** 2})
-    tau1 = _mono_form(1, {(1,): f ** 2 - R})     # f_k^2 - f_0^2 = sqrt(k+r^2) - r
+    nu = RadialForm(2, {(0, 1): R / f ** 6, (2, 3): -1 / f ** 2})
+    lam = RadialForm(1, {(1,): -1 / f ** 2})
+    tau1 = RadialForm(1, {(1,): f ** 2 - R})     # f_k^2 - f_0^2 = sqrt(k+r^2) - r
     return nu, lam, tau1
 
 
@@ -246,9 +241,9 @@ def asd_triple():
     right-invariant coframe; closed, and anti-self-dual along the
     identity section."""
     f = f_sym()
-    o1 = _mono_form(2, {(0, 1): R / f ** 2, (2, 3): -f ** 2}, "right")
-    o2 = _mono_form(2, {(0, 2): 1, (1, 3): R}, "right")          # dr^etahat2 - r etahat3^etahat1
-    o3 = _mono_form(2, {(0, 3): 1, (1, 2): -R}, "right")         # dr^etahat3 - r etahat1^etahat2
+    o1 = RadialForm(2, {(0, 1): R / f ** 2, (2, 3): -f ** 2}, "right")
+    o2 = RadialForm(2, {(0, 2): 1, (1, 3): R}, "right")          # dr^etahat2 - r etahat3^etahat1
+    o3 = RadialForm(2, {(0, 3): 1, (1, 2): -R}, "right")         # dr^etahat3 - r etahat1^etahat2
     return o1, o2, o3
 
 
@@ -396,24 +391,6 @@ def scaling_pullback_check(k: float, kp: float, r) -> float:
     pulled = np.stack([lam2 ** 2 * g_at[0], g_at[1], g_at[2], g_at[3]])
     target = lam2 * eh_metric_coefficients(kp, r)       # lambda^2 = lam2
     return float(np.abs(pulled / target - 1.0).max())
-
-
-def nu_l2_integral(k: float, R_out: float) -> float:
-    """int_{r <= R_out} |nu_k|^2 dvol up to the fixed SO(3) volume factor:
-    |nu|^2 = 2 f^-8 and dvol = r dr ^ (angular volume).  Quadrature runs
-    over geometric segments so the slowly-decaying tail stays accurate."""
-    edges = [0.0]
-    e = 1.0
-    while e < R_out:
-        edges.append(e)
-        e *= 10.0
-    edges.append(R_out)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        seg, _ = quad(lambda s: 2.0 * s / (k + s * s) ** 2, lo, hi,
-                      epsabs=1e-14, epsrel=1e-13, limit=200)
-        total += seg
-    return total
 
 
 # ----------------------------------------------------------------------

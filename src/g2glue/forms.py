@@ -179,12 +179,6 @@ class Form:
                 coeffs["".join(str(i + 1) for i in idx)] = v
         return {"dim": self.dim, "degree": self.degree, "coeffs": coeffs}
 
-    @staticmethod
-    def from_json_dict(data: dict) -> "Form":
-        entries = {tuple(int(ch) - 1 for ch in key): val
-                   for key, val in data["coeffs"].items()}
-        return Form.from_dict(data["dim"], data["degree"], entries)
-
 
 def _spd_factor(M: np.ndarray, error: str):
     """sqrt(det) and inverse of symmetric matrices M (*batch, n, n), and

@@ -32,7 +32,7 @@ from .forms import (Form, PositivityError, _read_only, _theta_at, hodge_star,
 
 __all__ = [
     "TorusIsometry", "ALPHA", "BETA", "GAMMA", "INVARIANT_PHI_TERMS",
-    "gamma_elements", "preserves_invariant_form", "FixedTorus",
+    "gamma_elements", "FixedTorus",
     "fixed_point_tori", "singular_components", "GluingChart",
     "glued_structure", "torsion_form", "closedness_residual",
     "torsion_decay_fit", "plateau_metric_error",
@@ -91,18 +91,6 @@ INVARIANT_PHI_TERMS = {
     (4, 5, 6): 1.0, (2, 3, 6): 1.0, (0, 1, 6): 1.0, (1, 3, 5): 1.0,
     (0, 2, 5): -1.0, (0, 3, 4): -1.0, (1, 2, 4): -1.0,
 }
-
-
-def invariant_phi() -> Form:
-    return Form.from_dict(7, 3, INVARIANT_PHI_TERMS)
-
-
-def preserves_invariant_form(g: TorusIsometry) -> bool:
-    """Sign-action check: every term of the invariant 3-form must carry an
-    even number of flipped coordinates (shifts act trivially on constant
-    forms)."""
-    return all(g.signs[i] * g.signs[j] * g.signs[k] == 1
-               for (i, j, k) in INVARIANT_PHI_TERMS)
 
 
 def gamma_elements() -> list[TorusIsometry]:

@@ -9,7 +9,7 @@ is certified end-to-end: the residual and the distance to phi0 must both
 vanish to solver tolerance.
 
 All derivative operators are Fourier-diagonal with respect to the flat
-background metric.  The default scheme rearranges the torsion-free
+background metric.  The default mode rearranges the torsion-free
 equation as
 
     delta0 [ P0(chi) - *0 F0(chi) ] = 0,     chi = (phi - phi0) + d eta,
@@ -45,10 +45,10 @@ import struct
 import numpy as np
 import scipy.fft
 
-from .forms import (_THETA_BLOCK, Form, Metric, PositivityError,
-                    _pi1_coeff, _place, _read_only, _theta_at, _theta_linear,
-                    _wedge_table, hodge_star, index_list, metric_from_g2, phi0,
-                    star_phi0, theta)
+from .forms import (_THETA_BLOCK, Form, Metric, PositivityError, _place,
+                    _read_only, _theta_at, _theta_linear, _wedge_table,
+                    hodge_star, index_list, metric_from_g2, phi0, star_phi0,
+                    theta)
 
 __all__ = [
     "SpectralField", "to_spectral", "constant", "SolverConfig", "SpectralOps",
@@ -261,13 +261,6 @@ def derivative_ops(N: int) -> SpectralOps:
 # the exact flat-background linearization
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _star0_matrix(p: int) -> np.ndarray:
-    """Euclidean Hodge star on degree p as a signed permutation matrix:
-    the complement placement (forms._place) of the basis."""
-    return _read_only(_place(np.eye(len(index_list(7, p))), 7, p))
-
-
 def _star0(field: SpectralField) -> SpectralField:
     """The Euclidean Hodge star *0 on a half spectrum: the signed
     permutation of the components (forms._place), one gather."""
@@ -288,7 +281,7 @@ def flat_t_matrix() -> np.ndarray:
 def flat_p_matrix() -> np.ndarray:
     """P0 = (7/3) pi_1 + 2 pi_7 - Id on 3-forms at the flat structure,
     read off T0 = -*0 P0 as P0 = -*0 T0 (** = Id in dimension 7)."""
-    return _read_only(-_star0_matrix(4) @ flat_t_matrix())
+    return _read_only(-_place(flat_t_matrix(), 7, 4))
 
 
 def _apply_symbol(ops: SpectralOps, spec: np.ndarray) -> np.ndarray:
@@ -430,8 +423,7 @@ def make_model_problem(cfg: SolverConfig):
     point.  delta_g psi = delta_g phi holds by construction: ** = id in
     dimension 7 and *0 phi0 is constant, so d *psi = d Theta(phi).
     solve() takes sigma and the gate from _model_sigma alone and builds
-    neither phi nor psi as grid values; psi is for the 'joyce-literal'
-    scheme and for callers of this function.
+    neither phi nor psi as grid values.
     """
     sigma, phi = _model_sigma(cfg)
     # phi0 + eps d sigma, in place in the grid values of d sigma; then psi
@@ -453,66 +445,26 @@ def make_model_problem(cfg: SolverConfig):
 # iteration
 # ----------------------------------------------------------------------
 
-def picard_step(pot: SpectralField, psi: Form | None, eta: SpectralField,
-                scheme: str = "flat-split") -> SpectralField:
+def picard_step(pot: SpectralField, eta: SpectralField) -> SpectralField:
     """One update of the correction 2-form, from and to its half spectrum.
 
     pot is the model potential, phi = phi0 + d pot: eps sigma for the
     output of make_model_problem, so no step recomputes
-    delta Lap^-1 (phi - phi0).  psi is read by 'joyce-literal' only.
-
-    'flat-split' (the solver default): solve the exact rearrangement
+    delta Lap^-1 (phi - phi0).  The step solves the exact rearrangement
     A(eta + pot) = delta0(*0 F0(chi)) with chi = d(pot + eta), using the
-    mode-wise pseudo-inverse Lap^-2 A of A = delta0 P0 d.  'joyce-literal'
-    applies the textbook display
-    eta' = Lap^-1 delta(psi + f psi + *F(d eta)) with f phi = (7/3)
-    pi_1(d eta); it reproduces the stated shape (eta_1 = Lap^-1 delta psi
-    from eta_0 = 0) but its fixed point carries an O(eps^2) torsion
-    remainder, so solve() uses the rearranged scheme.
+    mode-wise pseudo-inverse Lap^-2 A of A = delta0 P0 d.
     """
     N = pot.N
     ops = derivative_ops(N)
-    if scheme == "flat-split":
-        # nested calls, so that chi, F and *0 F are each freed once read
-        sol = _apply_symbol_pinv(N, ops.delta(_star0(
-            to_spectral(_flat_split_F(ops.d(pot + eta).to_grid())))))
-        # A acted on eta + pot; peel the model part off (in place, as sol
-        # is this step's own), drop the mean and keep the iterate the
-        # spectrum of the real field it stands for
-        sol.spec -= pot.spec
-        sol.spec[_ZERO_MODE] = 0.0
-        return sol.hermitian()
-    if scheme == "joyce-literal":
-        # nested, so that each grid field and spectrum is freed once read
-        return ops.mean_zero(ops.inv_laplacian(ops.delta(to_spectral(
-            _literal_source(ops.d(pot).to_grid(), ops.d(eta).to_grid(), psi))),
-            project=True))
-    raise ValueError(f"unknown scheme {scheme}")
-
-
-def _literal_source(dpot: Form, deta: Form, psi: Form) -> Form:
-    """psi + f psi + *F(d eta) at phi = phi0 + d pot, with f phi =
-    (7/3) pi_1(d eta), the source of the 'joyce-literal' step.
-
-    Written one theta block of points at a time into one array, so no
-    grid-sized phi, metric or 4-form exists."""
-    dpot_pts = dpot.coeffs.reshape(35, -1)
-    deta_pts = deta.coeffs.reshape(35, -1)
-    psi_pts = psi.coeffs.reshape(35, -1)
-    source = np.empty(psi_pts.shape)
-    p0 = phi0().coeffs[:, None]
-    for lo in range(0, source.shape[1], _THETA_BLOCK):
-        blk = slice(lo, lo + _THETA_BLOCK)
-        phi = Form(7, 3, p0 + dpot_pts[:, blk])
-        deta_b = Form(7, 3, deta_pts[:, blk])
-        g, _ = metric_from_g2(phi)     # once, for f, T and Theta(phi)
-        theta_phi = _theta_at(g, phi)
-        f = (7.0 / 3.0) * _pi1_coeff(g, theta_phi, deta_b)
-        F_chi = (theta_phi - _theta_linear(g, phi, theta_phi, deta_b)
-                 - theta(phi + deta_b))
-        source[:, blk] = ((1.0 + f) * psi_pts[:, blk]
-                          + hodge_star(g, F_chi).coeffs)
-    return Form(7, 3, source.reshape(psi.coeffs.shape))
+    # nested calls, so that chi, F and *0 F are each freed once read
+    sol = _apply_symbol_pinv(N, ops.delta(_star0(
+        to_spectral(_flat_split_F(ops.d(pot + eta).to_grid())))))
+    # A acted on eta + pot; peel the model part off (in place, as sol is
+    # this step's own), drop the mean and keep the iterate the spectrum of
+    # the real field it stands for
+    sol.spec -= pot.spec
+    sol.spec[_ZERO_MODE] = 0.0
+    return sol.hermitian()
 
 
 def _torsion_linf(phi_tilde: Form) -> float:
@@ -538,10 +490,10 @@ def solve(cfg: SolverConfig):
 
     The model problem enters as its potential eps sigma, with the memory
     refusal and the positivity gate of make_model_problem; phi and psi are
-    never built as grid values (no scheme of solve reads psi), and
-    phi + d eta is phi0 + d(eps sigma + eta).  That is closed by
-    construction, so the reported residual is ||d Theta(phi + d eta)||_Linf,
-    the torsion half of residual()."""
+    never built as grid values, and phi + d eta is
+    phi0 + d(eps sigma + eta).  That is closed by construction, so the
+    reported residual is ||d Theta(phi + d eta)||_Linf, the torsion half
+    of residual()."""
     ops = derivative_ops(cfg.N)
     pot = cfg.eps * _model_sigma(cfg)[0]
     eta = SpectralField.zero(2, cfg.N)
@@ -555,7 +507,7 @@ def solve(cfg: SolverConfig):
     for j in range(cfg.max_iter):
         try:
             if cfg.operator_mode == "flat-background":
-                new_eta = picard_step(pot, None, eta, scheme="flat-split")
+                new_eta = picard_step(pot, eta)
             else:
                 new_eta = _cg_step(ops, pot, eta)
         except PositivityError as exc:

@@ -268,7 +268,6 @@ def test_refined_certifies_thirteen_fifths():
     for beta in (Fr(-1, 20), Fr(-1, 4), Fr(-1), Fr(-3)):
         expo = C.jk_rate_bound(C.refined_gradient_table(), beta - 2)
         assert expo >= Fr(13, 5)
-    assert C.jk_rate_bound(C.refined_value_table(), 0) >= 0
 
 
 def test_linf_exponents():

@@ -11,10 +11,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["01_flat_g2_algebra.py",
-                                  "04_kummer_gluing.py"])
+                                  "04_kummer_gluing.py",
+                                  "05_torus_iteration.py"])
 def test_demo_runs(name):
-    # these two call theta, theta_split, torsion_form and
-    # positivity_threshold; about 2 s together on one BLAS thread
+    # these call theta, theta_split, torsion_form, positivity_threshold,
+    # make_model_problem (reading its psi) and solve; about 4 s together
+    # on one BLAS thread
     path = os.pathsep.join(p for p in (str(ROOT / "src"),
                                        os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")

@@ -272,15 +272,6 @@ def test_scaling_pullback_identity():
 # integrability and decay rate
 # ----------------------------------------------------------------------
 
-def test_nu_l2_tail():
-    total = EH.nu_l2_integral(1.0, 1e7)
-    tail = total - EH.nu_l2_integral(1.0, 1e3)
-    assert total > 0
-    assert tail / total <= 1e-6
-    # analytic oracle: 1/k - 1/(k + R^2)
-    assert np.isclose(total, 1.0 - 1.0 / (1.0 + 1e14), rtol=1e-10)
-
-
 def test_nu_decay_slope():
     nu, _, _ = EH.harmonic_forms()
     k = 1e-4

@@ -1,5 +1,6 @@
 """Tests for the exterior algebra and the G2 nonlinear maps."""
 
+import json
 from itertools import combinations, permutations
 from math import factorial
 
@@ -136,8 +137,11 @@ def test_signed_unsorted_access():
 
 def test_json_round_trip():
     a = random_form(7, 3)
-    b = Form.from_json_dict(a.to_dict())
-    assert np.allclose(a.coeffs, b.coeffs)
+    data = json.loads(json.dumps(a.to_dict()))
+    entries = {tuple(int(ch) - 1 for ch in key): val
+               for key, val in data["coeffs"].items()}
+    b = Form.from_dict(data["dim"], data["degree"], entries)
+    assert np.array_equal(a.coeffs, b.coeffs)
 
 
 # ----------------------------------------------------------------------

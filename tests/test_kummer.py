@@ -29,12 +29,16 @@ def test_generators_commute():
 
 
 def test_all_elements_preserve_flat_form():
+    # the linear part of each element pulls the invariant 3-form back to
+    # itself exactly (shifts act trivially on constant forms)
+    phi = Form.from_dict(7, 3, KM.INVARIANT_PHI_TERMS)
     for el in KM.gamma_elements():
-        assert KM.preserves_invariant_form(el)
+        pulled = F.pullback(np.diag(el.signs), phi)
+        assert np.array_equal(pulled.coeffs, phi.coeffs)
 
 
 def test_invariant_form_is_positive():
-    g, vol = metric_from_g2(KM.invariant_phi())
+    g, vol = metric_from_g2(Form.from_dict(7, 3, KM.INVARIANT_PHI_TERMS))
     assert np.abs(g.entries - np.eye(7)).max() < 1e-12
     assert np.isclose(vol, 1.0)
 

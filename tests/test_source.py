@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import MappingProxyType
 
@@ -16,6 +19,15 @@ PACKAGE = Path(g2glue.__file__).parent
 def _called(node):
     """The name a Call node calls, bare or as an attribute."""
     return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+def _imported(node):
+    """The dotted names an import statement reads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
 
 
 def test_no_assert_statements():
@@ -81,15 +93,19 @@ def test_torus_builds_no_sign_tables():
 def test_no_lapack_factorizations_and_no_radial_quadrature():
     # one factorization per metric: forms._spd_factor eliminates B (or a
     # user's g) once and keeps det and g^-1; and the radial distance is
-    # the closed form, not one quadrature per radius
+    # the closed form, not one quadrature per radius; no module imports
+    # scipy.integrate at all
     names = {"inv", "cholesky", "det", "slogdet", "solve"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        found += [f"{path.name}:{node.lineno}"
-                  for node in ast.walk(ast.parse(path.read_text()))
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        found += [f"{path.name}:{node.lineno}" for node in nodes
                   if isinstance(node, ast.Attribute) and node.attr in names
                   and isinstance(node.value, ast.Attribute)
                   and node.value.attr == "linalg"]
+        found += [f"{path.name}:{node.lineno}" for node in nodes
+                  for name in _imported(node)
+                  if name.split(".")[:2] == ["scipy", "integrate"]]
     tree = ast.parse((PACKAGE / "eguchi_hanson.py").read_text())
     radial = [node for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef)
@@ -99,6 +115,20 @@ def test_no_lapack_factorizations_and_no_radial_quadrature():
               for node in ast.walk(fn)
               if isinstance(node, ast.Name) and node.id == "quad"]
     assert found == []
+
+
+def test_importing_the_geometry_leaves_out_scipy_integrate():
+    # the import rule above, seen from a fresh interpreter: nothing the
+    # Eguchi-Hanson and Kummer layers import pulls scipy.integrate in
+    code = ("import sys, g2glue.eguchi_hanson, g2glue.kummer; "
+            "print('scipy.integrate' in sys.modules)")
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_one_linearization_of_theta():
@@ -159,7 +189,6 @@ CACHED_CALLS = {
     "kummer._glue_slots": [()],
     "kummer._fiber_forms": [()],
     "torus.derivative_ops": [(4,)],
-    "torus._star0_matrix": [(4,), (5,)],
     "torus.flat_t_matrix": [()],
     "torus.flat_p_matrix": [()],
 }

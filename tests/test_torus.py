@@ -123,8 +123,8 @@ def test_inv_laplacian_rejects_zero_mode():
 
 def test_iteration_preserves_mean_zero():
     cfg = T.SolverConfig(N=N, eps=5e-3, seed=11)
-    phi, psi, sigma = T.make_model_problem(cfg)
-    eta = T.picard_step(cfg.eps * sigma, psi, T.SpectralField.zero(2, N))
+    _, _, sigma = T.make_model_problem(cfg)
+    eta = T.picard_step(cfg.eps * sigma, T.SpectralField.zero(2, N))
     assert np.abs(grid_mean(eta.to_grid())).max() < 1e-13
 
 
@@ -146,7 +146,8 @@ def test_flat_p_matrix_matches_the_rational_projectors():
     # P0 assembled from the exact projectors at phi0: pi_1 = phi0 phi0^T / 7
     # and pi_7 = sum_i q_i q_i^T / 4 with q_i = *0(e^i ^ phi0)
     p0 = F.phi0().coeffs
-    q = [T._star0_matrix(4) @ F.wedge(F.Form.basis(7, (i,)), F.phi0()).coeffs
+    flat = F.Metric.euclidean(7)
+    q = [F.hodge_star(flat, F.wedge(F.Form.basis(7, (i,)), F.phi0())).coeffs
          for i in range(7)]
     pi7 = sum(np.outer(v, v) for v in q) / 4.0
     ref = (7.0 / 3.0) * np.outer(p0, p0) / 7.0 + 2.0 * pi7 - np.eye(35)
@@ -154,18 +155,18 @@ def test_flat_p_matrix_matches_the_rational_projectors():
 
 
 def test_star0_is_the_euclidean_star():
-    # _star0_matrix and the spectral _star0 are the Euclidean hodge_star
+    # the spectral _star0 is the Euclidean hodge_star, component by
+    # component
     rng = np.random.default_rng(4)
     for p in range(8):
         nc = len(F.index_list(7, p))
         star = F.hodge_star(F.Metric.euclidean(7), F.Form(7, p, np.eye(nc)))
-        assert np.array_equal(T._star0_matrix(p), star.coeffs)
         spec = (rng.normal(size=(nc,) + (4,) * 6 + (3,))
                 + 1j * rng.normal(size=(nc,) + (4,) * 6 + (3,)))
         got = T._star0(T.SpectralField(p, spec, 4))
         assert got.degree == 7 - p
         assert np.array_equal(got.spec,
-                              np.tensordot(T._star0_matrix(p), spec, axes=1))
+                              np.tensordot(star.coeffs, spec, axes=1))
 
 
 def test_cached_flat_matrices_are_read_only():
@@ -176,8 +177,6 @@ def test_cached_flat_matrices_are_read_only():
         T.flat_p_matrix()[0, 0] = 1.0
     with pytest.raises(ValueError):
         T.flat_t_matrix()[:] *= 2.0
-    with pytest.raises(ValueError):
-        T._star0_matrix(4)[0, 0] = 0.0
     assert np.array_equal(T.flat_p_matrix(), P0)
 
 
@@ -369,20 +368,13 @@ def test_solve_memory_budget():
     # tracemalloc counts every numpy allocation, the same on every run:
     # the peak of an N = 4 solve stays under 2 KB per grid point, and
     # under the per-point estimate that refuses grids, which is thereby
-    # tied to a measurement; so do the public model problem with psi and
-    # one 'joyce-literal' step (3451 B per point with grid-sized metrics)
+    # tied to a measurement; so does the public model problem with psi
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
     (_, report), peak = traced_peak(lambda: T.solve(cfg))
     assert report["residual"] <= 1e-8
     assert peak / N ** 7 <= 2048
     assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
-    (_, psi, sigma), peak = traced_peak(lambda: T.make_model_problem(cfg))
-    assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
-    pot = cfg.eps * sigma
-    eta = T.picard_step(pot, psi, T.SpectralField.zero(2, N),
-                        scheme="joyce-literal")
-    _, peak = traced_peak(lambda: T.picard_step(pot, psi, eta,
-                                                scheme="joyce-literal"))
+    _, peak = traced_peak(lambda: T.make_model_problem(cfg))
     assert peak / N ** 7 <= T._PEAK_BYTES_PER_POINT
 
 
@@ -407,45 +399,11 @@ def test_model_rejects_large_eps():
 # iteration and solve
 # ----------------------------------------------------------------------
 
-def test_literal_first_step_is_inverse_laplacian_of_delta_psi():
-    ops = T.derivative_ops(N)
-    cfg = T.SolverConfig(N=N, eps=1e-2, seed=9)
-    phi, psi, sigma = T.make_model_problem(cfg)
-    eta1 = T.picard_step(cfg.eps * sigma, psi, T.SpectralField.zero(2, N),
-                         scheme="joyce-literal")
-    direct = ops.inv_laplacian(ops.delta(T.to_spectral(psi)), project=True)
-    assert linf((eta1 - ops.mean_zero(direct)).to_grid()) < 1e-12
-
-
-def test_blocked_literal_step_matches_the_grid_formula():
-    # the step's source psi + f psi + *F(d eta), taken in theta blocks,
-    # against the same formula on the whole grid at once, at an eta where
-    # f and F are nonzero
-    ops = T.derivative_ops(N)
-    cfg = T.SolverConfig(N=N, eps=1e-2, seed=9)
-    _, psi, sigma = T.make_model_problem(cfg)
-    pot = cfg.eps * sigma
-    eta = T.picard_step(pot, psi, T.SpectralField.zero(2, N),
-                        scheme="joyce-literal")
-    got = T.picard_step(pot, psi, eta, scheme="joyce-literal").to_grid()
-    phi = T.constant(F.phi0(), N) + ops.d(pot).to_grid()
-    g, _ = F.metric_from_g2(phi)
-    deta = ops.d(eta).to_grid()
-    f = (1.0 / 3.0) * F.inner_product(g, deta, phi)
-    _, F_chi = F.theta_split(phi, deta)
-    source = psi + F.Form(7, 3, f[None] * psi.coeffs) + F.hodge_star(g, F_chi)
-    ref = ops.mean_zero(ops.inv_laplacian(ops.delta(T.to_spectral(source)),
-                                          project=True)).to_grid()
-    assert linf(got - ref) <= 1e-13 * linf(ref)
-
-
 def test_zero_torsion_fixed_point():
     cfg = T.SolverConfig(N=N, eps=0.0, seed=10)
-    phi, psi, sigma = T.make_model_problem(cfg)
-    for scheme in ("flat-split", "joyce-literal"):
-        eta1 = T.picard_step(cfg.eps * sigma, psi, T.SpectralField.zero(2, N),
-                             scheme=scheme)
-        assert linf(eta1.to_grid()) < 1e-12
+    _, _, sigma = T.make_model_problem(cfg)
+    eta1 = T.picard_step(cfg.eps * sigma, T.SpectralField.zero(2, N))
+    assert linf(eta1.to_grid()) < 1e-12
 
 
 def test_solve_converges_to_flat():
@@ -488,23 +446,6 @@ def test_residual_operation():
     assert 1e-4 < r < 1.0      # O(eps), nonzero
 
 
-def test_literal_scheme_stalls_above_quadratic_floor():
-    # the textbook display converges, but its fixed point keeps an
-    # O(eps^2) torsion remainder; this pins why solve() rearranges
-    ops = T.derivative_ops(N)
-    cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
-    phi, psi, sigma = T.make_model_problem(cfg)
-    eta = T.SpectralField.zero(2, N)
-    for _ in range(12):
-        new = T.picard_step(cfg.eps * sigma, psi, eta, scheme="joyce-literal")
-        if linf((new - eta).to_grid()) < 1e-12:
-            eta = new
-            break
-        eta = new
-    res = T.residual(phi + ops.d(eta).to_grid())
-    assert res > 1e-6          # stuck near eps^2, far above solver tol
-
-
 def count_transforms(monkeypatch) -> dict:
     """Count component transforms through the two FFT helpers."""
     counts = {"forward": 0, "inverse": 0}
@@ -525,11 +466,11 @@ def test_flat_split_step_transform_budget(monkeypatch):
     # grid and *0 F back (about 260 component transforms when every
     # operator result went back to the grid)
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
-    _, psi, sigma = T.make_model_problem(cfg)
+    _, _, sigma = T.make_model_problem(cfg)
     pot = cfg.eps * sigma
-    eta = T.picard_step(pot, psi, T.SpectralField.zero(2, N))
+    eta = T.picard_step(pot, T.SpectralField.zero(2, N))
     counts = count_transforms(monkeypatch)
-    T.picard_step(pot, psi, eta)
+    T.picard_step(pot, eta)
     assert counts["forward"] > 0 and counts["inverse"] > 0
     assert counts["forward"] + counts["inverse"] <= 112
 
