@@ -29,6 +29,11 @@ residual vanishes with the iteration error, independent of grid effects.
 A 'cg' mode repeats the correction against the honest nonlinear residual
 *0 d Theta(phi + d eta) with the same spectral preconditioner.
 
+Positivity is proved where a metric is eliminated, once per point and
+iterate: a step's Theta raises PositivityError where phi + d eta leaves
+the G2 cone.  The flat mode's first iterate is phi itself, so its Theta
+is the gate on eps; the cg mode starts elsewhere and gates phi first.
+
 A field has one representation at a time.  Grid values are a forms.Form
 whose batch shape is the (N,)*7 grid, so the pointwise G2 algebra (theta,
 the metric, hodge_star with g) takes them as they are; a SpectralField
@@ -118,6 +123,23 @@ def _linf(field: SpectralField) -> float:
                for comp in field.spec)
 
 
+def _keep_hermitian_part(spec: np.ndarray, N: int) -> None:
+    """Make a half spectrum, in place, that of the real field its inverse
+    transform returns.
+
+    On the planes of the last axis that are their own conjugates
+    (modes 0 and N/2), a half spectrum of a real field satisfies
+    X(-k) = conj X(k); irfftn reads only (X(k) + conj X(-k)) / 2 there,
+    and this keeps that part.  The symbol of d is odd in m and so
+    breaks the symmetry at the Nyquist modes, where m(-k) = m(k).
+    """
+    axes = tuple(range(1, 7))
+    for k in [0, N // 2] if N % 2 == 0 else [0]:
+        sub = spec[..., k]          # one plane at a time: small temporaries
+        mirror = np.roll(np.flip(sub, axis=axes), 1, axis=axes)
+        spec[..., k] = 0.5 * (sub + mirror.conj())
+
+
 class SpectralField:
     """Degree-p form field on the N^7 periodic lattice by its half spectrum.
 
@@ -145,21 +167,10 @@ class SpectralField:
         return Form(7, self.degree, _irfft(self.spec, self.N))
 
     def hermitian(self) -> "SpectralField":
-        """The half spectrum of the real field to_grid() returns.
-
-        On the planes of the last axis that are their own conjugates
-        (modes 0 and N/2), a half spectrum of a real field satisfies
-        X(-k) = conj X(k); irfftn reads only (X(k) + conj X(-k)) / 2 there,
-        and this keeps that part.  The symbol of d is odd in m and so
-        breaks the symmetry at the Nyquist modes, where m(-k) = m(k).
-        """
-        planes = [0, self.N // 2] if self.N % 2 == 0 else [0]
-        axes = tuple(range(1, 7))
+        """The half spectrum of the real field to_grid() returns, as a new
+        field (_keep_hermitian_part on a copy)."""
         spec = self.spec.copy()
-        for k in planes:            # one plane at a time: small temporaries
-            sub = self.spec[..., k]
-            mirror = np.roll(np.flip(sub, axis=axes), 1, axis=axes)
-            spec[..., k] = 0.5 * (sub + mirror.conj())
+        _keep_hermitian_part(spec, self.N)
         return SpectralField(self.degree, spec, self.N)
 
     def __add__(self, other):
@@ -312,19 +323,21 @@ def _apply_kernel_projector(N: int, field: SpectralField) -> SpectralField:
 
 
 def _flat_split_F(chi: Form) -> Form:
-    """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field.
+    """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field,
+    written over the grid values of chi, which the caller hands over.
 
-    Written one theta block of points at a time into one array, so no
-    grid-sized phi0 + chi, Theta or T0 chi exists."""
-    chi_pts = chi.coeffs.reshape(35, -1)
-    F = np.empty(chi_pts.shape)
+    One theta block of points at a time, so no grid-sized phi0 + chi,
+    Theta, T0 chi or F of its own exists.  Theta raises PositivityError
+    where phi0 + chi is not a G2-structure."""
+    pts = chi.coeffs.reshape(35, -1)
     p0, star0 = phi0().coeffs[:, None], star_phi0().coeffs[:, None]
-    for lo in range(0, chi_pts.shape[1], _THETA_BLOCK):
-        c = chi_pts[:, lo:lo + _THETA_BLOCK]
-        F_pts = F[:, lo:lo + _THETA_BLOCK]
-        np.subtract(star0, flat_t_matrix() @ c, out=F_pts)
-        F_pts -= theta(Form(7, 3, p0 + c)).coeffs
-    return Form(7, 4, F.reshape(chi.coeffs.shape))
+    for lo in range(0, pts.shape[1], _THETA_BLOCK):
+        c = pts[:, lo:lo + _THETA_BLOCK]
+        t_c = flat_t_matrix() @ c
+        theta_c = theta(Form(7, 3, p0 + c)).coeffs
+        np.subtract(star0, t_c, out=c)
+        c -= theta_c
+    return Form(7, 4, pts.reshape(chi.coeffs.shape))
 
 
 # ----------------------------------------------------------------------
@@ -376,12 +389,16 @@ def _mem_available() -> int | None:
     return None
 
 
-def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
-    """sigma and the grid values of d sigma for the model problem, after
-    the memory refusal and the positivity gate on phi0 + eps d sigma.
+_EPS_TOO_LARGE = "eps too large: phi leaves the G2 cone on the grid"
 
-    The gate takes the metric one theta block of points at a time, so
-    phi is never held as grid values here."""
+
+def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
+    """sigma and the grid values of d sigma for the model problem, scaled
+    so that ||d sigma||_Linf = 1, after the memory refusal.
+
+    Nothing here proves phi = phi0 + eps d sigma positive: the first
+    elimination of phi's metric does, in _model_phi_blocks or in the
+    first step of a flat solve."""
     need, avail = _PEAK_BYTES_PER_POINT * cfg.N ** 7, _mem_available()
     if avail is not None and need > avail:
         raise GridTooLargeError(
@@ -399,18 +416,30 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
     scale = float(np.abs(dsig.coeffs).max())
     if scale == 0.0:
         raise RuntimeError("degenerate random draw")
-    sigma = (1.0 / scale) * sigma
+    sigma.spec *= 1.0 / scale
     dsig.coeffs[:] *= 1.0 / scale
-    dsig_pts = dsig.coeffs.reshape(35, -1)
-    p0 = phi0().coeffs[:, None]
-    try:
-        for lo in range(0, dsig_pts.shape[1], _THETA_BLOCK):
-            metric_from_g2(Form(7, 3, p0 + cfg.eps
-                                * dsig_pts[:, lo:lo + _THETA_BLOCK]))
-    except PositivityError as exc:
-        raise PositivityError(
-            "eps too large: phi leaves the G2 cone on the grid") from exc
     return sigma, dsig
+
+
+def _model_phi_blocks(eps: float, dsig: Form):
+    """Turn the grid values of d sigma into those of phi = phi0 + eps d sigma,
+    in place, and yield (slice, phi block, metric) one theta block of
+    points at a time.
+
+    Eliminating the metric is the positivity gate of phi: raises
+    PositivityError ("eps too large") at the first block with a point
+    where phi is not a G2-structure."""
+    dsig.coeffs[:] *= eps
+    dsig.coeffs[:] += phi0().coeffs[_CONST]
+    pts = dsig.coeffs.reshape(35, -1)
+    for lo in range(0, pts.shape[1], _THETA_BLOCK):
+        blk = slice(lo, lo + _THETA_BLOCK)
+        block = Form(7, 3, pts[:, blk])
+        try:
+            g, _ = metric_from_g2(block)
+        except PositivityError as exc:
+            raise PositivityError(_EPS_TOO_LARGE) from exc
+        yield blk, block, g
 
 
 def make_model_problem(cfg: SolverConfig):
@@ -420,24 +449,18 @@ def make_model_problem(cfg: SolverConfig):
 
     Refuses a grid that cannot fit in memory before allocating it, and
     raises PositivityError where phi is not a G2-structure at some grid
+    point: the metric that psi needs is the gate, one elimination per
     point.  delta_g psi = delta_g phi holds by construction: ** = id in
     dimension 7 and *0 phi0 is constant, so d *psi = d Theta(phi).
-    solve() takes sigma and the gate from _model_sigma alone and builds
-    neither phi nor psi as grid values.
+    solve() builds no psi and iterates on sigma from _model_sigma.
     """
     sigma, phi = _model_sigma(cfg)
-    # phi0 + eps d sigma, in place in the grid values of d sigma; then psi
-    # one theta block at a time, within the peak the refusal estimates
-    phi.coeffs[:] *= cfg.eps
-    phi.coeffs[:] += phi0().coeffs[_CONST]
-    phi_pts = phi.coeffs.reshape(35, -1)
-    psi = np.empty(phi_pts.shape)
-    star0 = star_phi0().coeffs[:, None]
-    for lo in range(0, phi_pts.shape[1], _THETA_BLOCK):
-        block = Form(7, 3, phi_pts[:, lo:lo + _THETA_BLOCK])
-        g, _ = metric_from_g2(block)
-        psi[:, lo:lo + _THETA_BLOCK] = hodge_star(
-            g, _theta_at(g, block) - Form(7, 4, star0)).coeffs
+    # phi in place in the grid values of d sigma; psi one theta block at a
+    # time, within the peak the refusal estimates
+    psi = np.empty((35, cfg.N ** 7))
+    star0 = Form(7, 4, star_phi0().coeffs[:, None])
+    for blk, block, g in _model_phi_blocks(cfg.eps, phi):
+        psi[:, blk] = hodge_star(g, _theta_at(g, block) - star0).coeffs
     return phi, Form(7, 3, psi.reshape(phi.coeffs.shape)), sigma
 
 
@@ -452,19 +475,23 @@ def picard_step(pot: SpectralField, eta: SpectralField) -> SpectralField:
     output of make_model_problem, so no step recomputes
     delta Lap^-1 (phi - phi0).  The step solves the exact rearrangement
     A(eta + pot) = delta0(*0 F0(chi)) with chi = d(pot + eta), using the
-    mode-wise pseudo-inverse Lap^-2 A of A = delta0 P0 d.
+    mode-wise pseudo-inverse Lap^-2 A of A = delta0 P0 d.  Its Theta is the
+    one metric elimination of phi + d eta: PositivityError where that
+    leaves the G2 cone.
     """
     N = pot.N
     ops = derivative_ops(N)
-    # nested calls, so that chi, F and *0 F are each freed once read
+    # nested calls, so that chi (which F overwrites) and *0 F are each
+    # freed once read
     sol = _apply_symbol_pinv(N, ops.delta(_star0(
         to_spectral(_flat_split_F(ops.d(pot + eta).to_grid())))))
-    # A acted on eta + pot; peel the model part off (in place, as sol is
-    # this step's own), drop the mean and keep the iterate the spectrum of
-    # the real field it stands for
+    # A acted on eta + pot; peel the model part off, drop the mean and keep
+    # the iterate the spectrum of the real field it stands for, all in
+    # place, as sol is this step's own
     sol.spec -= pot.spec
     sol.spec[_ZERO_MODE] = 0.0
-    return sol.hermitian()
+    _keep_hermitian_part(sol.spec, N)
+    return sol
 
 
 def _torsion_linf(phi_tilde: Form) -> float:
@@ -488,16 +515,29 @@ def solve(cfg: SolverConfig):
     phi0 itself, so the report carries both the torsion residual and the
     distance to phi0.
 
-    The model problem enters as its potential eps sigma, with the memory
-    refusal and the positivity gate of make_model_problem; phi and psi are
-    never built as grid values, and phi + d eta is
+    The model problem enters as its potential eps sigma, after the memory
+    refusal of make_model_problem; psi is never built, and phi + d eta is
     phi0 + d(eps sigma + eta).  That is closed by construction, so the
     reported residual is ||d Theta(phi + d eta)||_Linf, the torsion half
-    of residual()."""
+    of residual().
+
+    Each iterate's metric is eliminated once.  A flat solve's iterate 0
+    is phi itself, so its first Theta is phi's positivity gate and raises
+    PositivityError("eps too large"), as make_model_problem does; the cg
+    mode's is phi0 - d Lap^-1 A(eps sigma), so it gates phi first
+    (_model_phi_blocks).  A later iterate outside the cone raises
+    RuntimeError."""
     ops = derivative_ops(cfg.N)
-    pot = cfg.eps * _model_sigma(cfg)[0]
-    eta = SpectralField.zero(2, cfg.N)
-    if cfg.operator_mode == "curved-cg":
+    pot, dsig = _model_sigma(cfg)
+    pot.spec *= cfg.eps         # sigma, in place, becomes the potential
+    flat = cfg.operator_mode == "flat-background"
+    if flat:
+        del dsig
+        eta = SpectralField.zero(2, cfg.N)
+    else:
+        for _ in _model_phi_blocks(cfg.eps, dsig):
+            pass
+        del _, dsig     # _ holds the last phi block, a view of dsig
         # the residual-correction updates stay in the symbol range; seed
         # the gauge-kernel component from the model potential so the
         # diffeomorphism offset is not left behind at O(eps^2)
@@ -506,11 +546,13 @@ def solve(cfg: SolverConfig):
     iterations = 0
     for j in range(cfg.max_iter):
         try:
-            if cfg.operator_mode == "flat-background":
+            if flat:
                 new_eta = picard_step(pot, eta)
             else:
                 new_eta = _cg_step(ops, pot, eta)
         except PositivityError as exc:
+            if flat and j == 0:
+                raise PositivityError(_EPS_TOO_LARGE) from exc
             raise RuntimeError(f"iterate {j} left the G2 cone") from exc
         step = _linf(new_eta - eta)
         diffs.append(step)

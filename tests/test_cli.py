@@ -2,6 +2,7 @@
 determinism of reports."""
 
 import json
+import warnings
 
 import pytest
 
@@ -148,6 +149,17 @@ def test_torus_eps_outside_cone_rejected(capsys):
     assert run_cli(["torus", "solve", "--n", "4", "--eps", "2"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "G2 cone" in err
+    # the cg mode gates phi itself, as its first iterate is not phi
+    for eps in ("2", "1e300"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["torus", "solve", "--n", "4", "--mode", "cg",
+                            "--eps", eps])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "G2 cone" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if w.category is RuntimeWarning]
     # 1e300 overflows B to inf and NaN, which cholesky lets through;
     # a non-finite eps is refused before any grid is built
     for eps, reason in (("1e300", "G2 cone"), ("nan", "finite"),

@@ -711,13 +711,19 @@ def test_theta_split_T_linear():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_theta_split_T_matches_richardson_reference(seed):
     # T_phi = -*_g P_phi at 64 random positive phi = M^* phi0 (M of
-    # condition number at most 4), chi a tenth of phi's size, against
-    # central differences: 3.2e-11 relative at worst over 2000 such points
+    # condition number at most 4) against central differences: 6.0e-11
+    # relative at worst over 204 800 such points.  chi = M^* xi with
+    # |xi| = |phi0| / 10, so that phi + chi = M^*(phi0 + xi) is in the G2
+    # cone, the domain of theta_split: the smallest eigenvalue of
+    # B(phi0 + xi) was 3.9 over 200 000 draws, where B(phi0) = 6 Id.  A chi
+    # drawn a tenth of phi's size in the coefficients left the cone at 8
+    # of the seeds 0-2999
     rng = np.random.default_rng(seed)
-    phi = F.pullback(random_gl_plus(rng, (64,)), F.phi0())
-    chi = rng.normal(size=(35, 64))
-    chi = Form(7, 3, chi * (0.1 * np.linalg.norm(phi.coeffs, axis=0)
-                            / np.linalg.norm(chi, axis=0)))
+    M = random_gl_plus(rng, (64,))
+    phi = F.pullback(M, F.phi0())
+    xi = rng.normal(size=(35, 64))
+    xi *= 0.1 * np.linalg.norm(F.phi0().coeffs) / np.linalg.norm(xi, axis=0)
+    chi = F.pullback(M, Form(7, 3, xi))
     T_chi, _ = F.theta_split(phi, chi)
     ref, _ = richardson_split(phi, chi)
     err = np.abs(T_chi.coeffs - ref.coeffs).max(axis=0)

@@ -391,8 +391,38 @@ def test_model_potential_is_eps_sigma():
 
 
 def test_model_rejects_large_eps():
-    with pytest.raises(F.PositivityError):
+    with pytest.raises(F.PositivityError, match="eps too large"):
         T.make_model_problem(T.SolverConfig(N=N, eps=0.9, seed=7))
+
+
+def test_solve_rejects_large_eps():
+    # the flat solve's first Theta is the gate: its PositivityError is the
+    # model problem's, not a RuntimeError of iterate 0
+    with pytest.raises(F.PositivityError, match="eps too large"):
+        T.solve(T.SolverConfig(N=N, eps=0.9, seed=7))
+
+
+def test_one_metric_elimination_per_iterate(monkeypatch):
+    # every point's metric is eliminated once per iterate: a flat solve
+    # of 3 steps and the residual's Theta take 4 N^7 points (5 N^7 with a
+    # separate positivity gate), the model problem takes N^7 (psi's
+    # metric is phi's gate)
+    points = []
+    metric_from_g2 = F.metric_from_g2
+
+    def counted(phi):
+        points.append(int(np.prod(phi.batch_shape)))
+        return metric_from_g2(phi)
+
+    monkeypatch.setattr(F, "metric_from_g2", counted)
+    monkeypatch.setattr(T, "metric_from_g2", counted)
+    cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
+    _, report = T.solve(cfg)
+    assert len(report["step_sizes"]) == 3
+    assert sum(points) == 4 * N ** 7
+    points.clear()
+    T.make_model_problem(cfg)
+    assert sum(points) == N ** 7
 
 
 # ----------------------------------------------------------------------
