@@ -37,8 +37,7 @@ class ConfigError(ValueError):
 # The known sections and keys; a value read from the command line or a
 # config file is converted to the type of its default.
 DEFAULTS = {
-    "torus": {"n": 6, "eps": 1e-2, "seed": 7, "tol": 1e-8, "mode": "flat",
-              "max_iter": 50},
+    "torus": {"n": 6, "eps": 1e-2, "seed": 7, "tol": 1e-8, "max_iter": 50},
     "kummer": {"t": "0.008,0.004,0.002,0.001", "samples": 2000,
                "beta": -0.05},
     "eh": {"k": "1,1e-2,1e-4", "samples": 1000, "seed": 1},
@@ -378,16 +377,12 @@ def suite_kummer_torsion(t_values, samples: int,
     return checks, rows + out["rows"]
 
 
-def suite_torus_solve(n: int, eps: float, seed: int, tol: float,
-                      mode: str, max_iter: int,
+def suite_torus_solve(n: int, eps: float, seed: int, tol: float, max_iter: int,
                       dump: str | None = None) -> tuple[list, list]:
     from g2glue import torus
-    mode_name = {"flat": "flat-background", "cg": "curved-cg"}.get(mode)
-    if mode_name is None:
-        raise ConfigError(f"unknown mode '{mode}'")
     try:
         cfg = torus.SolverConfig(N=n, eps=eps, seed=seed, tol_residual=tol,
-                                 max_iter=max_iter, operator_mode=mode_name)
+                                 max_iter=max_iter)
         eta, report = torus.solve(cfg)
     except (ValueError, torus.GridTooLargeError) as exc:
         # a grid size, tol or max_iter outside the solver's domain, an eps
@@ -400,10 +395,8 @@ def suite_torus_solve(n: int, eps: float, seed: int, tol: float,
         return checks, []
     if dump:
         torus.save_field(dump, eta)
-    # flat mode returns to phi0 up to rounding; cg mode stops at a gauge
-    # floor of order eps^3 (see test_curved_mode_converges_to_gauge_floor)
-    res_tol, dist_tol = (max(tol, 1e-8), 1e-8) if mode == "flat" \
-        else (1e-4, 1e-6)
+    # the solve is exact: it returns to phi0 up to rounding
+    res_tol, dist_tol = max(tol, 1e-8), 1e-8
     checks = [
         _check("iterations", "reported", report["iterations"],
                f"<= {max_iter}", None, "iteration-count"),
@@ -429,7 +422,7 @@ def suite_all(fast: bool = False) -> tuple[list, list]:
         suite_rates_jk("refined", Fraction(-1, 20), Fraction(-1, 5)),
         suite_kummer_torsion([0.008, 0.004, 0.002, 0.001],
                              300 if fast else 2000, -0.05),
-        suite_torus_solve(4 if fast else 6, 1e-2, 7, 1e-8, "flat", 50),
+        suite_torus_solve(4 if fast else 6, 1e-2, 7, 1e-8, 50),
     ]
     return [c for checks, _ in parts for c in checks], []
 
@@ -449,8 +442,7 @@ SUITES = {
     "kummer-torsion": lambda o: suite_kummer_torsion(
         _parse_floats(o["t"]), o["samples"], o["beta"]),
     "torus-solve": lambda o: suite_torus_solve(
-        o["n"], o["eps"], o["seed"], o["tol"], o["mode"], o["max_iter"],
-        o["dump"]),
+        o["n"], o["eps"], o["seed"], o["tol"], o["max_iter"], o["dump"]),
     "all": lambda o: suite_all(fast=bool(o["fast"])),
 }
 
@@ -506,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--eps", type=float)
     sv.add_argument("--seed", type=int)
     sv.add_argument("--tol", type=float)
-    sv.add_argument("--mode", choices=("flat", "cg"))
     sv.add_argument("--max-iter", type=int)
     sv.add_argument("--dump", help="binary field dump path")
 

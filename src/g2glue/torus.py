@@ -9,8 +9,7 @@ is certified end-to-end: the residual and the distance to phi0 must both
 vanish to solver tolerance.
 
 All derivative operators are Fourier-diagonal with respect to the flat
-background metric.  The default mode rearranges the torsion-free
-equation as
+background metric.  The solver rearranges the torsion-free equation as
 
     delta0 [ P0(chi) - *0 F0(chi) ] = 0,     chi = (phi - phi0) + d eta,
 
@@ -26,13 +25,10 @@ back F0.  At the fixed point *0[P0 chi - *0 F0] equals
 Theta(phi + d eta) - *0 phi0 identically, so the reported torsion
 residual vanishes with the iteration error, independent of grid effects.
 
-A 'cg' mode repeats the correction against the honest nonlinear residual
-*0 d Theta(phi + d eta) with the same spectral preconditioner.
-
 Positivity is proved where a metric is eliminated, once per point and
 iterate: a step's Theta raises PositivityError where phi + d eta leaves
-the G2 cone.  The flat mode's first iterate is phi itself, so its Theta
-is the gate on eps; the cg mode starts elsewhere and gates phi first.
+the G2 cone.  The first iterate is phi itself, so its Theta is the gate
+on eps.
 
 A field has one representation at a time.  Grid values are a forms.Form
 whose batch shape is the (N,)*7 grid, so the pointwise G2 algebra (theta,
@@ -165,13 +161,6 @@ class SpectralField:
 
     def to_grid(self) -> Form:
         return Form(7, self.degree, _irfft(self.spec, self.N))
-
-    def hermitian(self) -> "SpectralField":
-        """The half spectrum of the real field to_grid() returns, as a new
-        field (_keep_hermitian_part on a copy)."""
-        spec = self.spec.copy()
-        _keep_hermitian_part(spec, self.N)
-        return SpectralField(self.degree, spec, self.N)
 
     def __add__(self, other):
         return SpectralField(self.degree, self.spec + other.spec, self.N)
@@ -313,15 +302,6 @@ def _apply_symbol_pinv(N: int, field: SpectralField) -> SpectralField:
     return SpectralField(2, spec, N)
 
 
-def _apply_kernel_projector(N: int, field: SpectralField) -> SpectralField:
-    """Project a 2-form field onto the mode-wise kernel of the symbol
-    (d-closed plus diffeomorphism-gauge directions): Id + Lap^-1 A."""
-    ops = derivative_ops(N)
-    spec = field.spec
-    return SpectralField(
-        2, spec + _apply_symbol(ops, spec) / ops.lap_nonzero, N)
-
-
 def _flat_split_F(chi: Form) -> Form:
     """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field,
     written over the grid values of chi, which the caller hands over.
@@ -351,7 +331,8 @@ class SolverConfig:
     seed: int = 7
     tol_residual: float = 1e-8
     max_iter: int = 50
-    operator_mode: str = "flat-background"    # or "curved-cg"
+    # one scheme; the keyword stays because the bench's torus-n4 passes it
+    operator_mode: str = "flat-background"
 
     def __post_init__(self):
         if self.N not in (4, 6, 8):
@@ -362,8 +343,8 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
-        if self.operator_mode not in ("flat-background", "curved-cg"):
-            raise ValueError("unknown operator mode")
+        if self.operator_mode != "flat-background":
+            raise ValueError(f"unknown operator mode {self.operator_mode!r}")
 
 
 # Peak RSS of a solve per grid point: the slope of ru_maxrss between an
@@ -397,8 +378,8 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
     so that ||d sigma||_Linf = 1, after the memory refusal.
 
     Nothing here proves phi = phi0 + eps d sigma positive: the first
-    elimination of phi's metric does, in _model_phi_blocks or in the
-    first step of a flat solve."""
+    elimination of phi's metric does, in make_model_problem or in the
+    first step of a solve."""
     need, avail = _PEAK_BYTES_PER_POINT * cfg.N ** 7, _mem_available()
     if avail is not None and need > avail:
         raise GridTooLargeError(
@@ -421,27 +402,6 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
     return sigma, dsig
 
 
-def _model_phi_blocks(eps: float, dsig: Form):
-    """Turn the grid values of d sigma into those of phi = phi0 + eps d sigma,
-    in place, and yield (slice, phi block, metric) one theta block of
-    points at a time.
-
-    Eliminating the metric is the positivity gate of phi: raises
-    PositivityError ("eps too large") at the first block with a point
-    where phi is not a G2-structure."""
-    dsig.coeffs[:] *= eps
-    dsig.coeffs[:] += phi0().coeffs[_CONST]
-    pts = dsig.coeffs.reshape(35, -1)
-    for lo in range(0, pts.shape[1], _THETA_BLOCK):
-        blk = slice(lo, lo + _THETA_BLOCK)
-        block = Form(7, 3, pts[:, blk])
-        try:
-            g, _ = metric_from_g2(block)
-        except PositivityError as exc:
-            raise PositivityError(_EPS_TOO_LARGE) from exc
-        yield blk, block, g
-
-
 def make_model_problem(cfg: SolverConfig):
     """phi = phi0 + eps d sigma for a random band-limited coexact 2-form
     sigma with || d sigma ||_Linf = 1, and the torsion bookkeeping 3-form
@@ -457,9 +417,18 @@ def make_model_problem(cfg: SolverConfig):
     sigma, phi = _model_sigma(cfg)
     # phi in place in the grid values of d sigma; psi one theta block at a
     # time, within the peak the refusal estimates
-    psi = np.empty((35, cfg.N ** 7))
+    phi.coeffs[:] *= cfg.eps
+    phi.coeffs[:] += phi0().coeffs[_CONST]
+    pts = phi.coeffs.reshape(35, -1)
+    psi = np.empty_like(pts)
     star0 = Form(7, 4, star_phi0().coeffs[:, None])
-    for blk, block, g in _model_phi_blocks(cfg.eps, phi):
+    for lo in range(0, pts.shape[1], _THETA_BLOCK):
+        blk = slice(lo, lo + _THETA_BLOCK)
+        block = Form(7, 3, pts[:, blk])
+        try:
+            g, _ = metric_from_g2(block)
+        except PositivityError as exc:
+            raise PositivityError(_EPS_TOO_LARGE) from exc
         psi[:, blk] = hodge_star(g, _theta_at(g, block) - star0).coeffs
     return phi, Form(7, 3, psi.reshape(phi.coeffs.shape)), sigma
 
@@ -521,37 +490,21 @@ def solve(cfg: SolverConfig):
     reported residual is ||d Theta(phi + d eta)||_Linf, the torsion half
     of residual().
 
-    Each iterate's metric is eliminated once.  A flat solve's iterate 0
-    is phi itself, so its first Theta is phi's positivity gate and raises
-    PositivityError("eps too large"), as make_model_problem does; the cg
-    mode's is phi0 - d Lap^-1 A(eps sigma), so it gates phi first
-    (_model_phi_blocks).  A later iterate outside the cone raises
-    RuntimeError."""
+    Each iterate's metric is eliminated once.  Iterate 0 is phi itself,
+    so the first Theta is phi's positivity gate and raises
+    PositivityError("eps too large"), as make_model_problem does.  A
+    later iterate outside the cone raises RuntimeError."""
     ops = derivative_ops(cfg.N)
-    pot, dsig = _model_sigma(cfg)
+    pot = _model_sigma(cfg)[0]  # the grid values of d sigma are freed here
     pot.spec *= cfg.eps         # sigma, in place, becomes the potential
-    flat = cfg.operator_mode == "flat-background"
-    if flat:
-        del dsig
-        eta = SpectralField.zero(2, cfg.N)
-    else:
-        for _ in _model_phi_blocks(cfg.eps, dsig):
-            pass
-        del _, dsig     # _ holds the last phi block, a view of dsig
-        # the residual-correction updates stay in the symbol range; seed
-        # the gauge-kernel component from the model potential so the
-        # diffeomorphism offset is not left behind at O(eps^2)
-        eta = (-1.0) * _apply_kernel_projector(cfg.N, pot)
+    eta = SpectralField.zero(2, cfg.N)
     diffs = []
     iterations = 0
     for j in range(cfg.max_iter):
         try:
-            if flat:
-                new_eta = picard_step(pot, eta)
-            else:
-                new_eta = _cg_step(ops, pot, eta)
+            new_eta = picard_step(pot, eta)
         except PositivityError as exc:
-            if flat and j == 0:
+            if j == 0:
                 raise PositivityError(_EPS_TOO_LARGE) from exc
             raise RuntimeError(f"iterate {j} left the G2 cone") from exc
         step = _linf(new_eta - eta)
@@ -566,7 +519,8 @@ def solve(cfg: SolverConfig):
         raise RuntimeError(f"max_iter = {cfg.max_iter} exceeded: last step "
                            f"{diffs[-1]:.3e} > tol {cfg.tol_residual:g}")
 
-    phi_tilde = _phi_tilde(ops, pot, eta)
+    phi_tilde = ops.d(pot + eta).to_grid()      # phi + d eta
+    phi_tilde.coeffs[:] += phi0().coeffs[_CONST]
     eta = eta.to_grid()
     del pot
     res = _torsion_linf(phi_tilde)
@@ -583,33 +537,8 @@ def solve(cfg: SolverConfig):
         "zero_mode_gap": zero_mode_gap,
         "contraction_factors": contraction,
         "step_sizes": diffs,
-        "mode": cfg.operator_mode,
     }
     return eta, report
-
-
-def _phi_tilde(ops: SpectralOps, pot: SpectralField,
-               eta: SpectralField) -> Form:
-    """Grid values of phi + d eta = phi0 + d(pot + eta)."""
-    phi_tilde = ops.d(pot + eta).to_grid()
-    phi_tilde.coeffs[:] += phi0().coeffs[_CONST]
-    return phi_tilde
-
-
-def _cg_step(ops: SpectralOps, pot: SpectralField,
-             eta: SpectralField) -> SpectralField:
-    """Residual-correction step: eta <- eta + pinv(A) *0 d Theta(phi+d eta),
-    the honest nonlinear torsion fed back through the flat preconditioner.
-
-    Updates live in the symbol range; with the gauge-kernel component
-    seeded from the model potential the iteration converges to a torsion
-    residual of order eps^3 (the seed fixes the diffeomorphism offset to
-    first order only).  The mode exists as the fallback; the default
-    rearranged scheme is exact and is what the acceptance run uses."""
-    d_theta = ops.d(to_spectral(theta(_phi_tilde(ops, pot, eta))))  # 5-form
-    # *0 -> 2-form: the residual is a real field on the grid
-    resid2 = _star0(d_theta).hermitian()
-    return ops.mean_zero(eta + _apply_symbol_pinv(ops.N, resid2)).hermitian()
 
 
 # ----------------------------------------------------------------------

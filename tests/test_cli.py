@@ -107,10 +107,16 @@ def test_empty_config_is_defaults():
                                      for s, v in cli.DEFAULTS.items()}
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[torus]\nbogus = 1\n")
     assert run_cli(["kummer", "fixed-points", "--config", str(cfg)]) == 2
+    # the torus solve has one scheme and no mode key
+    for mode in ("flat", "cg"):
+        cfg.write_text(f"[torus]\nmode = {mode}\n")
+        assert run_cli(["torus", "solve", "--n", "4",
+                        "--config", str(cfg)]) == 2
+        assert "unknown key 'mode'" in capsys.readouterr().err
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -146,28 +152,19 @@ def test_torus_grid_size_rejected(capsys):
 
 
 def test_torus_eps_outside_cone_rejected(capsys):
-    assert run_cli(["torus", "solve", "--n", "4", "--eps", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err and "G2 cone" in err
-    # the cg mode gates phi itself, as its first iterate is not phi
-    for eps in ("2", "1e300"):
+    # the first step's Theta gates phi, with no overflow warning on the way
+    # (1e300 overflows phi's B to inf and NaN); a non-finite eps is refused
+    # before any grid is built
+    for eps, reason in (("2", "G2 cone"), ("1e300", "G2 cone"),
+                        ("nan", "finite"), ("inf", "finite")):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_cli(["torus", "solve", "--n", "4", "--mode", "cg",
-                            "--eps", eps])
+            code = run_cli(["torus", "solve", "--n", "4", "--eps", eps])
         assert code == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and "G2 cone" in err
+        assert "configuration error" in err and reason in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not [w for w in caught if w.category is RuntimeWarning]
-    # 1e300 overflows B to inf and NaN, which cholesky lets through;
-    # a non-finite eps is refused before any grid is built
-    for eps, reason in (("1e300", "G2 cone"), ("nan", "finite"),
-                        ("inf", "finite")):
-        assert run_cli(["torus", "solve", "--n", "4", "--eps", eps]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and reason in err
-        assert "Traceback" not in err
 
 
 def test_eh_decay_k_domain_rejected(capsys):
@@ -229,26 +226,34 @@ def test_bad_config_value_rejected(tmp_path, capsys):
     assert "bad value 'six'" in capsys.readouterr().err
 
 
-def test_csv_only_where_rows_exist(tmp_path):
+def test_csv_only_where_rows_exist(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["cone", "oracle", "--csv", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+    # nor is there a --mode flag: the torus solve has one scheme
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["torus", "solve", "--n", "4", "--mode", "cg"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --mode cg" in err
+    assert "Traceback" not in err
 
 
-def test_torus_cg_checks_apply_their_tolerance(monkeypatch, tmp_path):
-    # a cg solve whose distance to phi0 is above the gauge floor must fail
-    # the distance check, with the bounds applied reported as tolerances
-    report = {"iterations": 3, "residual": 5e-6, "distance_to_flat": 2e-6,
+def test_torus_checks_apply_their_tolerance(monkeypatch, tmp_path):
+    # a solve whose distance to phi0 is above 1e-8 must fail the distance
+    # check; the residual's bound is max(tol, 1e-8), and each bound applied
+    # is reported as the check's tolerance
+    report = {"iterations": 3, "residual": 5e-7, "distance_to_flat": 2e-8,
               "zero_mode_gap": 0.0, "contraction_factors": [0.1]}
     monkeypatch.setattr(torus, "solve", lambda cfg: (None, report))
     out = tmp_path / "t.json"
-    assert run_cli(["torus", "solve", "--n", "4", "--mode", "cg",
+    assert run_cli(["torus", "solve", "--n", "4", "--tol", "1e-6",
                     "--out", str(out)]) == 1
     by_name = {c["name"]: c for c in load(out)["checks"]}
     assert by_name["torsion-residual"]["status"] == "pass"
-    assert by_name["torsion-residual"]["tolerance"] == 1e-4
+    assert by_name["torsion-residual"]["tolerance"] == 1e-6
     assert by_name["distance-to-flat"]["status"] == "fail"
-    assert by_name["distance-to-flat"]["tolerance"] == 1e-6
+    assert by_name["distance-to-flat"]["tolerance"] == 1e-8
 
 
 def test_all_concatenates_suite_checks(monkeypatch, tmp_path):
