@@ -169,28 +169,21 @@ class LinkPairData:
         return self.c_da * self.c_db
 
 
-def cone_laplacian_apply(lam, k: int, n: int, j: int, pair: LinkPairData,
-                         delta_alpha=None, delta_beta=None):
+def cone_laplacian_apply(lam, k: int, n: int, j: int, pair: LinkPairData):
     """Coefficients of Delta((log r)^j gamma) for gamma = r^{lam+k}
     (dr/r ^ alpha + beta) homogeneous of order lam on an n-dimensional cone.
 
     Returns (A, B): dicts {log power: rational coefficient}, the
     coefficient multiplying alpha (resp. beta) at each power of log r in
-    the r^{lam+k-2} (dr/r ^ A + B) expansion.  delta_alpha/delta_beta
-    override the Laplace eigenvalues of the pair (for inconsistency
-    probes); by default they follow from the pair data.
+    the r^{lam+k-2} (dr/r ^ A + B) expansion.  alpha and beta share the
+    Laplace eigenvalue of the pair.
     """
     lam = Fraction(lam)
     if n < 2:
         raise ValueError("need cone dimension n >= 2")
     if j < 0:
         raise ValueError("log power must be >= 0")
-    e_a = Fraction(delta_alpha) if delta_alpha is not None else pair.eigenvalue
-    e_b = Fraction(delta_beta) if delta_beta is not None else pair.eigenvalue
-    if delta_alpha is not None or delta_beta is not None:
-        if e_a != e_b:
-            raise ValueError("inconsistent eigen-data: the pair relations "
-                             "force equal Laplace eigenvalues")
+    e = pair.eigenvalue
 
     A: dict[int, Fraction] = {}
     B: dict[int, Fraction] = {}
@@ -200,12 +193,12 @@ def cone_laplacian_apply(lam, k: int, n: int, j: int, pair: LinkPairData,
             d[power] = d.get(power, Fraction(0)) + coeff
 
     # u ( Delta a - (lam+k-2)(lam+n-k) a - 2 d* b )
-    add(A, j, e_a - (lam + k - 2) * (lam + n - k) - 2 * pair.c_db)
+    add(A, j, e - (lam + k - 2) * (lam + n - k) - 2 * pair.c_db)
     # - r u' (2 lam + n - 1) a - r^2 u'' a  with u = log^j
     add(A, j - 1, -Fraction(j) * (2 * lam + n - 1))
     add(A, j - 2, -Fraction(j * (j - 1)))
 
-    add(B, j, e_b - (lam + n - k - 2) * (lam + k) - 2 * pair.c_da)
+    add(B, j, e - (lam + n - k - 2) * (lam + k) - 2 * pair.c_da)
     add(B, j - 1, -Fraction(j) * (2 * lam + n - 1))
     add(B, j - 2, -Fraction(j * (j - 1)))
     return A, B

@@ -33,7 +33,7 @@ __all__ = [
     "hyperkaehler_triple", "harmonic_forms", "asd_triple",
     "radial_distance", "radial_distance_many", "sphere_geometry",
     "ale_decay_ratio", "scaling_pullback_check",
-    "WeightedNormSpec", "weighted_norm", "rescaling_invariance_check",
+    "radial_derivative", "weighted_norm", "rescaling_invariance_check",
     "eh_metric_coefficients",
 ]
 
@@ -363,11 +363,9 @@ def sphere_geometry(k: float, n_theta: int = 64, n_phi: int = 64) -> dict:
 # ALE decay and the scaling diffeomorphism
 # ----------------------------------------------------------------------
 
-def ale_decay_ratio(k: float, r, l: int = 0) -> np.ndarray:
+def ale_decay_ratio(k: float, r) -> np.ndarray:
     """|tau_1^(k)|_{g_(0)} / (k (k^{1/4} + r^{1/2})^{-3}), for k in (0,1],
-    r > 1, l = 0.  Bounded by 4 on that regime."""
-    if l != 0:
-        raise ValueError("only l = 0 is implemented")
+    r > 1.  Bounded by 4 on that regime."""
     if not (0 < k <= 1):
         raise ValueError("need k in (0, 1]")
     r = np.asarray(r, dtype=float)
@@ -397,88 +395,67 @@ def scaling_pullback_check(k: float, kp: float, r) -> float:
 # weighted Hoelder norms
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    """Parameters of the discretized C^{k,alpha}_{beta;t} norm."""
-    k_derivs: int
-    alpha: float
-    beta: float
-    t: float
-    max_pairs: int = 10000
-
-    def __post_init__(self):
-        if not (0 < self.alpha < 1):
-            raise ValueError("alpha must lie in (0,1)")
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if self.k_derivs < 0:
-            raise ValueError("k_derivs must be >= 0")
+def radial_derivative(values, t: float, rs) -> np.ndarray:
+    """The arclength derivative d/ds = f_k d/dr (k = t^4) of a radial
+    field by central differences at step 1e-6 r.  values maps radii of
+    shape (2, n) to components of shape (ncomp, 2, n); it is called once,
+    on the stacked radii r + delta and r - delta."""
+    rs = np.asarray(rs, dtype=float)
+    if np.any(rs <= 0):
+        raise ValueError("need r > 0")
+    delta = 1e-6 * rs
+    pm = values(np.stack([rs + delta, rs - delta]))
+    fk = (t ** 4 + rs ** 2) ** 0.25
+    return fk * (pm[:, 0] - pm[:, 1]) / (2.0 * delta)
 
 
-def _field_components(field, k_val, rs):
-    """Orthonormal-frame components of a RadialForm or callable field."""
-    if isinstance(field, RadialForm):
-        return field.evaluate_onb(k_val, rs).coeffs
-    out = np.asarray(field(rs), dtype=float)
-    return out if out.ndim > 1 else out[None]
+def weighted_norm(jets, t: float, r_samples, beta: float,
+                  alpha: float | None = None) -> float:
+    """The discretized C^{k,alpha}_{beta;t} norm of a radial field, with
+    the weight w_t = t + d(r) of g_(t^4).
 
+    jets[j] holds the coframe components of nabla^j a at the samples,
+    shape (ncomp, n).  The value is the sum over j of
+    sup w_t^{j-beta} |nabla^j a|; with alpha it adds, for each j, the
+    Hoelder quotient w^{alpha+j-beta} |nabla^j a(x) - nabla^j a(y)| /
+    d(x,y)^alpha (coframe-component difference as parallel transport,
+    w = min(w_t(x), w_t(y))) over every pair with 0 < d(x,y) <= w.
+    Every term is a maximum over the samples or their pairs, so the value
+    never decreases when samples are added.
 
-def weighted_norm(field, spec: WeightedNormSpec, r_samples,
-                  parts: bool = False):
-    """Discretized weighted Hoelder norm of a radial field on X.
-
-    Sum over j <= k_derivs of the L^inf_{beta-j;t} part plus the Hoelder
-    quotient over admissible sample pairs (d(x,y) <= w_t(x,y)); radial
-    derivatives are taken with respect to g_(t^4)-arclength, and the
-    parallel-transport comparison is the coframe-component difference.
-    Discretization only ever under-estimates the supremum, so the value is
-    monotone in the sample set.  With parts=True a breakdown
-    {"linf": [...], "hoelder": h, "total": s} is returned.
+    The pairs come from a window sliding over the samples sorted by d:
+    d and w_t increase together, so at offset s the smaller weight is the
+    inner sample's, and once no pair at offset s has d(x,y) <= w none at
+    a larger offset does.
     """
     rs = np.asarray(r_samples, dtype=float)
     if rs.size == 0:
         raise ValueError("empty sample set")
-    k_val = spec.t ** 4
-    dists = radial_distance_many(k_val, rs)
-    w = spec.t + dists
-
-    linf = []
-    jets = []
-    for j in range(spec.k_derivs + 1):
-        if j == 0:
-            comps = _field_components(field, k_val, rs)
-        else:
-            delta = np.maximum(1e-6 * rs, 1e-12)
-            fk = (k_val + rs ** 2) ** 0.25
-            plus = _field_components(field, k_val, rs + delta)
-            minus = _field_components(field, k_val, rs - delta)
-            comps = fk * (plus - minus) / (2.0 * delta)   # d/ds = f d/dr
-        mag = np.sqrt((comps ** 2).sum(axis=0))
-        linf.append(float((w ** (-(spec.beta - j)) * mag).max()))
-        jets.append(comps)
-
-    # Hoelder quotients over admissible pairs
-    n = rs.size
-    rng = np.random.default_rng(0)
-    npairs = min(spec.max_pairs, n * (n - 1) // 2)
-    hoelder = 0.0
-    if n >= 2 and npairs > 0:
-        ii = rng.integers(0, n, size=npairs)
-        jj = rng.integers(0, n, size=npairs)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-        d = np.abs(dists[ii] - dists[jj])
-        wmin = np.minimum(w[ii], w[jj])
-        adm = (d > 0) & (d <= wmin)
+    if not t > 0:
+        raise ValueError("t must be positive")
+    if alpha is not None and not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0,1)")
+    dists = radial_distance_many(t ** 4, rs)
+    w = t + dists
+    mags = [np.sqrt((np.asarray(c) ** 2).sum(axis=0)) for c in jets]
+    total = sum(float((w ** (j - beta) * m).max()) for j, m in enumerate(mags))
+    if alpha is None:
+        return total
+    order = np.argsort(dists, kind="stable")
+    d, w = dists[order], w[order]
+    jets = [np.asarray(c)[:, order] for c in jets]
+    best = [0.0] * len(jets)
+    for s in range(1, rs.size):
+        gap = d[s:] - d[:-s]
+        near = gap <= w[:-s]
+        if not near.any():
+            break
+        i = np.flatnonzero(near & (gap > 0))
         for j, comps in enumerate(jets):
-            diff = np.sqrt(((comps[:, ii] - comps[:, jj]) ** 2).sum(axis=0))
-            quot = np.where(adm, wmin ** (spec.alpha - (spec.beta - j))
-                            * diff / np.maximum(d, 1e-300) ** spec.alpha, 0.0)
-            hoelder += float(quot.max())
-    total = sum(linf) + hoelder
-    if parts:
-        return {"linf": linf, "hoelder": hoelder, "total": total}
-    return total
+            diff = np.sqrt(((comps[:, i + s] - comps[:, i]) ** 2).sum(axis=0))
+            quot = w[i] ** (alpha + j - beta) * diff / gap[i] ** alpha
+            best[j] = max(best[j], float(quot.max(initial=0.0)))
+    return total + sum(best)
 
 
 def rescaling_invariance_check(a: RadialForm, beta: float, t: float,
@@ -492,9 +469,7 @@ def rescaling_invariance_check(a: RadialForm, beta: float, t: float,
     k_val = t ** 4
 
     # t-side: sup w_t^{-beta} |a|_{g_(t^4)} over the samples
-    w_t = t + radial_distance_many(k_val, rs)
-    rhs_vals = w_t ** (-beta) * a.pointwise_norm(k_val, rs)
-    rhs = float(rhs_vals.max())
+    rhs = weighted_norm([a.evaluate_onb(k_val, rs).coeffs], t, rs, beta)
 
     # 1-side on the matched grid u = r / t^2; the form keeps its own
     # family parameter k = t^4 while the frame/weight switch to g_(1).
@@ -504,9 +479,7 @@ def rescaling_invariance_check(a: RadialForm, beta: float, t: float,
     pulled = t ** (-beta - 2) * RadialForm(a.degree, {
         m: (lam2 if 0 in m else 1) * c.subs(R, lam2 * R)
         for m, c in a.subs_k(k_val).coeffs.items()}, a.frame)
-    w_1 = 1.0 + radial_distance_many(1.0, us)
-    lhs_vals = w_1 ** (-beta) * pulled.pointwise_norm(1.0, us)
-    lhs = float(lhs_vals.max())
+    lhs = weighted_norm([pulled.evaluate_onb(1.0, us).coeffs], 1.0, us, beta)
     if rhs == lhs == 0.0:
         return 0.0
     return abs(lhs - rhs) / max(abs(rhs), abs(lhs))

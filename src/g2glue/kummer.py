@@ -270,6 +270,11 @@ class GluingChart:
     def ds_dr(self, r):
         return 1.0 / np.sqrt(np.asarray(r, dtype=float))
 
+    def annulus(self, n: int) -> np.ndarray:
+        """n radii evenly spaced in s just inside zeta/4 < s < zeta/2."""
+        return self.r_of_s(np.linspace(self.zeta / 4 * 1.0001,
+                                       self.zeta / 2 * 0.9999, n))
+
     def chi(self, s):
         s = np.asarray(s, dtype=float)
         lo, hi = self.zeta / 4.0, self.zeta / 2.0
@@ -411,16 +416,11 @@ def torsion_form(t: float, rs, chart: GluingChart | None = None):
 
 
 def _grad_norm(t: float, rs, chart: GluingChart, g) -> np.ndarray:
-    """|nabla psi_t| by radial finite differences of the coframe
-    components at step 1e-6 * r (arclength derivative), measured with the
-    metric g of phi_t at rs.  psi_t at rs + delta and rs - delta comes
-    from one batched torsion_form call."""
-    rs = np.asarray(rs, dtype=float)
-    delta = 1e-6 * rs
-    psi, _, _ = torsion_form(t, np.stack([rs + delta, rs - delta]), chart)
-    fk = (chart.k + rs ** 2) ** 0.25
-    dcomp = fk * (psi.coeffs[:, 0] - psi.coeffs[:, 1]) / (2.0 * delta)
-    dpsi = Form(7, 3, dcomp)
+    """|nabla psi_t|: eh.radial_derivative of the coframe components of
+    psi_t (one batched torsion_form call), measured with the metric g of
+    phi_t at rs."""
+    dpsi = Form(7, 3, eh.radial_derivative(
+        lambda r: torsion_form(t, r, chart)[0].coeffs, t, rs))
     return np.sqrt(np.maximum(inner_product(g, dpsi, dpsi), 0.0))
 
 
@@ -443,14 +443,11 @@ def torsion_decay_fit(t_list, n_samples: int = 2000, beta: float = -0.05,
     rows = []
     for t in t_list:
         chart = GluingChart(t)
-        s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999,
-                        n_samples)
-        rs = chart.r_of_s(s)
+        rs = chart.annulus(n_samples)
         try:
             _, norms, g = torsion_form(t, rs, chart)
             sup_psi = float(norms.max())
-            w = t + eh.radial_distance_many(chart.k, rs)
-            weighted = float((w ** (-(beta - 2.0)) * norms).max())
+            weighted = eh.weighted_norm([norms[None]], t, rs, beta - 2.0)
             sup_grad = float(_grad_norm(t, rs, chart, g).max()) \
                 if with_gradient else float("nan")
         except PositivityError:
@@ -509,9 +506,9 @@ def positivity_threshold(t_candidates=None) -> float:
         t_candidates = np.geomspace(0.2, 0.001, 24)
     charts = [GluingChart(t) for t in t_candidates]
     for chart in sorted(charts, key=lambda c: c.t, reverse=True):
-        s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999, 400)
         try:
-            metric_from_g2(glued_structure(chart.t, chart.r_of_s(s), chart)[0])
+            metric_from_g2(glued_structure(chart.t, chart.annulus(400),
+                                          chart)[0])
         except PositivityError:
             continue
         return float(chart.t)

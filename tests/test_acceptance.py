@@ -190,13 +190,6 @@ def test_criterion_07_kummer_torsion_support_and_weighted_law():
     assert ok
 
 
-def _annulus_radii(chart, n_samples):
-    """The gluing-annulus sample radii that torsion_decay_fit uses."""
-    s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999,
-                    n_samples)
-    return chart.r_of_s(s)
-
-
 def _fiber_wedge_eigenvalues(t, rs):
     """Ascending eigenvalues of Q_ij = omega_tilde_i ^ omega_tilde_j / vol_4
     at each radius.  The omega_tilde_i are read off the public glued
@@ -252,7 +245,7 @@ def test_criterion_07_stated_range_slope():
     indefinite_ok, agree_ok, details = True, True, []
     for t in stated:
         chart = kummer.GluingChart(t)
-        rs = _annulus_radii(chart, n_samples)
+        rs = chart.annulus(n_samples)
         ev = _fiber_wedge_eigenvalues(t, rs)
         definite = ev[:, 0] > 0
         indefinite_ok &= not definite.all()
@@ -267,7 +260,7 @@ def test_criterion_07_stated_range_slope():
 
     t_max = kummer.positivity_threshold()
     chart = kummer.GluingChart(t_max)
-    ev = _fiber_wedge_eigenvalues(t_max, _annulus_radii(chart, n_samples))
+    ev = _fiber_wedge_eigenvalues(t_max, chart.annulus(n_samples))
     threshold_ok = t_max < 0.025 and bool((ev[:, 0] > 0).all())
     ok = indefinite_ok and agree_ok and threshold_ok
     report(7, ok, f"stated range t in (0.2, 0.1, 0.05, 0.025) lies outside "

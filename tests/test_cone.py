@@ -69,12 +69,6 @@ def test_cone_laplacian_zero_pair():
     assert set(A) <= {0} and set(B) <= {0}
 
 
-def test_cone_laplacian_inconsistent_data():
-    pair = C.LinkPairData(c_da=Fr(2), c_db=Fr(2))
-    with pytest.raises(ValueError):
-        C.cone_laplacian_apply(-2, 2, 4, 1, pair, delta_alpha=4, delta_beta=5)
-
-
 # ----------------------------------------------------------------------
 # critical rates
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the Eguchi-Hanson coframe calculus and weighted norms."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -287,50 +289,113 @@ def test_nu_decay_slope():
 # weighted norms
 # ----------------------------------------------------------------------
 
+NU = EH.harmonic_forms()[0]
+
+
+def nu_jets(t, rs):
+    """The coframe components of nu and of its arclength derivative on
+    g_(t^4) at the radii rs."""
+    def values(r):
+        return NU.evaluate_onb(t ** 4, r).coeffs
+    return [values(rs), EH.radial_derivative(values, t, rs)]
+
+
+def brute_force_norm(jets, t, rs, beta, alpha):
+    """The weighted Hoelder norm with its quotient over all n^2 pairs."""
+    d = EH.radial_distance_many(t ** 4, rs)
+    w = t + d
+    total = sum((w ** (j - beta) * np.sqrt((c ** 2).sum(axis=0))).max()
+                for j, c in enumerate(jets))
+    for j, c in enumerate(jets):
+        best = 0.0
+        for x in range(rs.size):
+            for y in range(rs.size):
+                gap, wmin = abs(d[x] - d[y]), min(w[x], w[y])
+                if 0 < gap <= wmin:
+                    diff = np.sqrt(((c[:, x] - c[:, y]) ** 2).sum())
+                    best = max(best, wmin ** (alpha + j - beta) * diff
+                               / gap ** alpha)
+        total += best
+    return total
+
+
+def test_radial_derivative():
+    # d/ds (r^2) = f_k(r) 2r on g_(k), k = t^4, from one call of values
+    t, rs = 0.5, np.geomspace(1e-2, 1e2, 50)
+    calls = []
+    got = EH.radial_derivative(lambda r: calls.append(r.shape) or r[None] ** 2,
+                               t, rs)
+    assert calls == [(2, rs.size)]
+    expected = (t ** 4 + rs ** 2) ** 0.25 * 2.0 * rs
+    assert np.abs(got[0] - expected).max() <= 1e-8 * expected.max()
+    with pytest.raises(ValueError):
+        EH.radial_derivative(lambda r: r[None], t, np.array([0.0, 1.0]))
+
+
 def test_weighted_norm_constant():
-    spec = EH.WeightedNormSpec(0, 0.5, 0.0, 0.3)
     rs = np.geomspace(1e-3, 50, 300)
-    out = EH.weighted_norm(lambda r: np.ones((1,) + np.shape(r)), spec, rs,
-                           parts=True)
-    assert np.isclose(out["linf"][0], 1.0, rtol=1e-12)
-    assert out["hoelder"] < 1e-12
+    ones = [np.ones((1, rs.size))]
+    linf = EH.weighted_norm(ones, 0.3, rs, 0.0)
+    assert np.isclose(linf, 1.0, rtol=1e-12)
+    assert EH.weighted_norm(ones, 0.3, rs, 0.0, alpha=0.5) - linf < 1e-12
 
 
 def test_weighted_norm_weight_power():
     t, beta = 0.3, -2.0
-    spec = EH.WeightedNormSpec(0, 0.5, beta, t)
     rs = np.geomspace(1e-3, 50, 300)
-
-    def field(r):
-        w = t + EH.radial_distance_many(t ** 4, np.asarray(r))
-        return (w ** beta)[None]
-
-    out = EH.weighted_norm(field, spec, rs, parts=True)
-    assert np.isclose(out["linf"][0], 1.0, rtol=1e-12)
+    w = t + EH.radial_distance_many(t ** 4, rs)
+    out = EH.weighted_norm([(w ** beta)[None]], t, rs, beta)
+    assert np.isclose(out, 1.0, rtol=1e-12)
 
 
 def test_weighted_norm_nu_finite():
-    nu, _, _ = EH.harmonic_forms()
     t = 0.5
-    spec = EH.WeightedNormSpec(0, 0.5, -4.0, t)
     rs = np.geomspace(1e-3, 1e4, 500)
-    val = EH.weighted_norm(nu, spec, rs)
+    val = EH.weighted_norm(nu_jets(t, rs)[:1], t, rs, -4.0, alpha=0.5)
     assert np.isfinite(val) and val > 0
 
 
 def test_weighted_norm_monotone_in_samples():
-    nu, _, _ = EH.harmonic_forms()
-    spec = EH.WeightedNormSpec(0, 0.5, -4.0, 0.5)
     rs = np.geomspace(1e-2, 1e3, 200)
-    small = EH.weighted_norm(nu, spec, rs[::4])
-    big = EH.weighted_norm(nu, spec, rs)
+    jets = nu_jets(0.5, rs)[:1]
+    small = EH.weighted_norm([c[:, ::4] for c in jets], 0.5, rs[::4], -4.0,
+                             alpha=0.5)
+    big = EH.weighted_norm(jets, 0.5, rs, -4.0, alpha=0.5)
     assert big >= small - 1e-12
+    # exactly, with one derivative: at t = 0.3, beta = -0.5, alpha = 0.5
+    # on rs[::2], 10 000 random pairs gave 487.299, more than the 487.204
+    # they gave on all of rs
+    for t in (0.3, 0.5, 0.8):
+        jets = nu_jets(t, rs)
+        for beta, alpha in product((-4.0, -2.0, -0.5), (0.3, 0.5, 0.9)):
+            big = EH.weighted_norm(jets, t, rs, beta, alpha)
+            for step in (2, 3, 4):
+                small = EH.weighted_norm([c[:, ::step] for c in jets], t,
+                                         rs[::step], beta, alpha)
+                assert big >= small, (t, beta, alpha, step)
+
+
+def test_weighted_norm_matches_all_pairs():
+    # every admissible pair, also with a repeated radius (d = 0, not
+    # admissible) and a radius out of order
+    rs = np.geomspace(1e-2, 1e2, 38)
+    rs = np.concatenate([rs, [rs[17], 0.37]])
+    for t, beta, alpha in ((0.3, -0.5, 0.5), (0.8, -4.0, 0.9),
+                           (0.5, -2.0, 0.3)):
+        jets = nu_jets(t, rs)
+        got = EH.weighted_norm(jets, t, rs, beta, alpha)
+        ref = brute_force_norm(jets, t, rs, beta, alpha)
+        assert abs(got - ref) <= 1e-14 * ref
 
 
 def test_weighted_norm_empty_samples():
-    spec = EH.WeightedNormSpec(0, 0.5, 0.0, 0.3)
-    with pytest.raises(ValueError):
-        EH.weighted_norm(lambda r: np.ones((1,) + np.shape(r)), spec, np.array([]))
+    # an empty sample set, t <= 0 and alpha outside (0, 1) are refused
+    for t, alpha, rs in ((0.3, 0.5, []), (0.0, 0.5, [1.0]), (-0.3, 0.5, [1.0]),
+                         (0.3, 0.0, [1.0]), (0.3, 1.0, [1.0]),
+                         (0.3, 1.5, [1.0])):
+        rs = np.array(rs)
+        with pytest.raises(ValueError):
+            EH.weighted_norm([np.ones((1, rs.size))], t, rs, 0.0, alpha=alpha)
 
 
 def test_rescaling_invariance():

@@ -154,6 +154,31 @@ def test_one_linearization_of_theta():
             if isinstance(node, ast.Attribute) and node.attr == "outer"] == []
 
 
+def test_one_weighted_norm():
+    # eguchi_hanson.weighted_norm is the one weighted norm, with the one
+    # weight w_t = t + d(r): the geometry layers take the radial distance
+    # only there and in the radial_distance wrapper, and draw no random
+    # pairs.  cli.suite_eh_decay keeps its own k ** 0.25 + d(r): through
+    # t = k ** 0.25 the distance would be taken at t ** 4, and
+    # (1e-4 ** 0.25) ** 4 = 1.0000000000000002e-4 moves the bits of its
+    # nu-decay-slope check
+    found = []
+    for name in ("eguchi_hanson.py", "kummer.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        allowed = [range(node.lineno, node.end_lineno + 1)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("weighted_norm", "radial_distance")]
+        assert len(allowed) == (2 if name == "eguchi_hanson.py" else 0)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (_called(node) == "default_rng"
+                       or _called(node) == "radial_distance_many"
+                       and not any(node.lineno in lines
+                                   for lines in allowed))]
+    assert found == []
+
+
 def test_theta_of_an_eliminated_phi_takes_the_kernel():
     # Theta(phi) = *_{g(phi)} phi has its own kernel, forms._theta_at (the
     # G2 contraction identity); hodge_star stays the general star, so no
