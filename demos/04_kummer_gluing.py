@@ -25,16 +25,15 @@ print("\nTorsion support at t = 0.01 (vanishes off the cutoff annulus):")
 chart = kummer.GluingChart(0.01)
 for s, where in ((chart.zeta / 8, "inside"), (3 * chart.zeta / 8, "annulus"),
                  (3 * chart.zeta / 4, "outside")):
-    _, norms, _ = kummer.torsion_form(0.01, np.array([chart.r_of_s(s)]),
-                                      chart)
+    _, norms, _ = kummer.torsion_form(0.01, np.array([chart.r_of_s(s)]))
     print(f"  s = {s:.4f} ({where:8s}): |psi| = {norms.max():.3e}")
 
 print("\nsup |psi_t| over the annulus: the fourth-power law")
 print("  t         sup|psi|        sup/t^4")
 for t in (0.05, 0.02, 0.008, 0.004, 0.002, 0.001):
-    chart = kummer.GluingChart(t)
     try:
-        _, norms, _ = kummer.torsion_form(t, chart.annulus(2000), chart)
+        _, norms, _ = kummer.torsion_form(
+            t, kummer.GluingChart(t).annulus(2000))
         print(f"  {t:7.3f}  {norms.max():.6e}   {norms.max()/t**4:.5e}")
     except PositivityError:
         print(f"  {t:7.3f}  outside the positivity domain "

@@ -465,15 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     eh = sub.add_parser("eh").add_subparsers(dest="sub", required=True)
     ehv = eh.add_parser("verify", parents=[common])
-    ehv.add_argument("--samples", type=int)
-    ehv.add_argument("--seed", type=int)
+    ehv.add_argument("--samples")
+    ehv.add_argument("--seed")
     ehd = eh.add_parser("decay", parents=[with_csv])
     ehd.add_argument("--k", help="comma separated family parameters")
 
     cone_p = sub.add_parser("cone").add_subparsers(dest="sub", required=True)
     for name in ("rates", "index"):
         cp = cone_p.add_parser(name, parents=[common])
-        cp.add_argument("--degree", type=int)
+        cp.add_argument("--degree")
         cp.add_argument("--from")
         cp.add_argument("--to")
     cone_p.add_parser("oracle", parents=[common])
@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates_p = sub.add_parser("rates").add_subparsers(dest="sub",
                                                      required=True)
     rj = rates_p.add_parser("jk", parents=[common])
-    rj.add_argument("--table", choices=("naive", "refined"))
+    rj.add_argument("--table")
     rj.add_argument("--beta")
     rj.add_argument("--B", dest="b")
 
@@ -489,16 +489,16 @@ def build_parser() -> argparse.ArgumentParser:
     km.add_parser("fixed-points", parents=[common])
     kt = km.add_parser("torsion", parents=[with_csv])
     kt.add_argument("--t", help="comma separated gluing parameters")
-    kt.add_argument("--samples", type=int)
-    kt.add_argument("--beta", type=float)
+    kt.add_argument("--samples")
+    kt.add_argument("--beta")
 
     ts = sub.add_parser("torus").add_subparsers(dest="sub", required=True)
     sv = ts.add_parser("solve", parents=[common])
-    sv.add_argument("--n", type=int)
-    sv.add_argument("--eps", type=float)
-    sv.add_argument("--seed", type=int)
-    sv.add_argument("--tol", type=float)
-    sv.add_argument("--max-iter", type=int)
+    sv.add_argument("--n")
+    sv.add_argument("--eps")
+    sv.add_argument("--seed")
+    sv.add_argument("--tol")
+    sv.add_argument("--max-iter")
     sv.add_argument("--dump", help="binary field dump path")
 
     al = sub.add_parser("all", parents=[common])

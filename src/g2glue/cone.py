@@ -41,6 +41,11 @@ class InsufficientSpectrumError(ValueError):
     """The link tables do not cover the eigenvalue range a query needs."""
 
 
+# n, the cone's dimension: the link tables below are those of a
+# 3-dimensional link (S^3 or SO(3)), so the cone over it is 4-dimensional.
+_N = 4
+
+
 # ----------------------------------------------------------------------
 # link spectra
 # ----------------------------------------------------------------------
@@ -51,6 +56,12 @@ class SpectrumEntry:
     multiplicity: int
     kind: str          # 'function' or 'coexact1'
     parity: int        # +1 even / -1 odd under the antipodal map
+
+
+# The Hodge star of the link exchanges closed with coclosed and exact with
+# coexact forms.
+_STAR_KIND = {"closed": "coclosed", "coclosed": "closed",
+              "exact": "coexact", "coexact": "exact"}
 
 
 @dataclass(frozen=True)
@@ -108,14 +119,8 @@ class LinkSpectrum:
                 return self._select("function", eig)
             if kind == "coclosed":
                 return self._select("coexact1", eig)
-        elif q == 2:                          # *(1-forms)
-            swap = {"closed": "coclosed", "coclosed": "closed",
-                    "exact": "coexact", "coexact": "exact"}
-            return self.multiplicity(1, swap[kind], eig)
-        elif q == 3:                          # *(functions)
-            swap = {"closed": "coclosed", "coclosed": "closed",
-                    "exact": "coexact", "coexact": "exact"}
-            return self.multiplicity(0, swap[kind], eig)
+        elif q in (2, 3):                     # *(1-forms), *(functions)
+            return self.multiplicity(3 - q, _STAR_KIND[kind], eig)
         raise ValueError(f"bad query q={q} kind={kind}")
 
     def eigenvalues(self, q: int, kind: str, ceiling: Fraction):
@@ -169,7 +174,7 @@ class LinkPairData:
         return self.c_da * self.c_db
 
 
-def cone_laplacian_apply(lam, k: int, n: int, j: int, pair: LinkPairData):
+def cone_laplacian_apply(lam, k: int, j: int, pair: LinkPairData):
     """Coefficients of Delta((log r)^j gamma) for gamma = r^{lam+k}
     (dr/r ^ alpha + beta) homogeneous of order lam on an n-dimensional cone.
 
@@ -179,8 +184,6 @@ def cone_laplacian_apply(lam, k: int, n: int, j: int, pair: LinkPairData):
     Laplace eigenvalue of the pair.
     """
     lam = Fraction(lam)
-    if n < 2:
-        raise ValueError("need cone dimension n >= 2")
     if j < 0:
         raise ValueError("log power must be >= 0")
     e = pair.eigenvalue
@@ -193,13 +196,13 @@ def cone_laplacian_apply(lam, k: int, n: int, j: int, pair: LinkPairData):
             d[power] = d.get(power, Fraction(0)) + coeff
 
     # u ( Delta a - (lam+k-2)(lam+n-k) a - 2 d* b )
-    add(A, j, e - (lam + k - 2) * (lam + n - k) - 2 * pair.c_db)
+    add(A, j, e - (lam + k - 2) * (lam + _N - k) - 2 * pair.c_db)
     # - r u' (2 lam + n - 1) a - r^2 u'' a  with u = log^j
-    add(A, j - 1, -Fraction(j) * (2 * lam + n - 1))
+    add(A, j - 1, -Fraction(j) * (2 * lam + _N - 1))
     add(A, j - 2, -Fraction(j * (j - 1)))
 
-    add(B, j, e - (lam + n - k - 2) * (lam + k) - 2 * pair.c_da)
-    add(B, j - 1, -Fraction(j) * (2 * lam + n - 1))
+    add(B, j, e - (lam + _N - k - 2) * (lam + k) - 2 * pair.c_da)
+    add(B, j - 1, -Fraction(j) * (2 * lam + _N - 1))
     add(B, j - 2, -Fraction(j * (j - 1)))
     return A, B
 
@@ -239,18 +242,18 @@ def _solve_quadratic(a: Fraction, b: Fraction, E: Fraction):
     return sorted(sols)
 
 
-def _case_parameters(k: int, n: int):
+def _case_parameters(k: int):
     """(a, b, link degree, kind) per case of the four-type decomposition."""
     return {
-        "i": (Fraction(k - 2), Fraction(n - k), k - 1, "closed"),
-        "ii": (Fraction(k), Fraction(n - k), k - 1, "coexact"),
-        "iii": (Fraction(k - 2), Fraction(n - k - 2), k - 1, "coexact"),
-        "iv": (Fraction(n - k - 2), Fraction(k), k, "coclosed"),
+        "i": (Fraction(k - 2), Fraction(_N - k), k - 1, "closed"),
+        "ii": (Fraction(k), Fraction(_N - k), k - 1, "coexact"),
+        "iii": (Fraction(k - 2), Fraction(_N - k - 2), k - 1, "coexact"),
+        "iv": (Fraction(_N - k - 2), Fraction(k), k, "coclosed"),
     }
 
 
-def critical_rates(link: LinkSpectrum, p: int, lam1, lam2,
-                   n: int = 4) -> list[HomogeneousRate]:
+def critical_rates(link: LinkSpectrum, p: int, lam1,
+                   lam2) -> list[HomogeneousRate]:
     """All rates in [lam1, lam2) carrying nonzero homogeneous harmonic
     p-forms on the n-dimensional cone over the link, with dimensions.
 
@@ -261,10 +264,10 @@ def critical_rates(link: LinkSpectrum, p: int, lam1, lam2,
     lam1, lam2 = Fraction(lam1), Fraction(lam2)
     if lam2 <= lam1:
         raise ValueError("need lam1 < lam2")
-    if not (0 <= p <= n):
+    if not (0 <= p <= _N):
         raise ValueError("bad form degree")
     found: dict[Fraction, list] = {}
-    for case, (a, b, q, kind) in _case_parameters(p, n).items():
+    for case, (a, b, q, kind) in _case_parameters(p).items():
         if q < 0 or q > 3:
             continue
         # eigenvalue demand over the interval: convex quadratics peak at
@@ -276,11 +279,11 @@ def critical_rates(link: LinkSpectrum, p: int, lam1, lam2,
             for lam in _solve_quadratic(a, b, eig):
                 if not (lam1 <= lam < lam2):
                     continue
-                if case == "ii" and (lam + p == 0 or lam + n - p == 0):
+                if case == "ii" and (lam + p == 0 or lam + _N - p == 0):
                     continue
-                if case == "iii" and (lam + p - 2 == 0 or lam + n - p - 2 == 0):
+                if case == "iii" and (lam + p - 2 == 0 or lam + _N - p - 2 == 0):
                     continue
-                if case == "iii" and lam == Fraction(-(n - 2), 2):
+                if case == "iii" and lam == Fraction(-(_N - 2), 2):
                     continue  # coincides with case (ii); counted there
                 mult = link.multiplicity(q, kind, eig)
                 if mult > 0:
@@ -292,14 +295,13 @@ def critical_rates(link: LinkSpectrum, p: int, lam1, lam2,
     return out
 
 
-def _case_iii_pair(lam: Fraction, k: int, n: int) -> LinkPairData:
+def _case_iii_pair(lam: Fraction, k: int) -> LinkPairData:
     """The first-order relations of a case-(iii) pair at rate lam:
     d alpha = -(lam+n-k-2) beta, d* beta = -(lam+k-2) alpha."""
-    return LinkPairData(c_da=-(lam + n - k - 2), c_db=-(lam + k - 2))
+    return LinkPairData(c_da=-(lam + _N - k - 2), c_db=-(lam + k - 2))
 
 
-def log_kernel_check(lam, p: int, link: LinkSpectrum | None = None,
-                     n: int = 4, pair: LinkPairData | None = None) -> bool:
+def log_kernel_check(lam, p: int, pair: LinkPairData | None = None) -> bool:
     """True when homogeneous-with-log harmonic forms at rate lam reduce to
     the plain homogeneous ones (no log terms survive).
 
@@ -311,13 +313,12 @@ def log_kernel_check(lam, p: int, link: LinkSpectrum | None = None,
     the recursion fail to close and returns False.
     """
     lam = Fraction(lam)
-    link = link if link is not None else so3_link()
-    rates = critical_rates(link, p, lam, lam + Fraction(1, 10**6), n=n) \
+    rates = critical_rates(so3_link(), p, lam, lam + Fraction(1, 10**6)) \
         if pair is None else []
     rates = [r for r in rates if r.rate == lam]
     if pair is None and not rates:
         return True          # empty kernel: vacuously log-free
-    descent_coeff = -(2 * lam + n - 1)
+    descent_coeff = -(2 * lam + _N - 1)
     if descent_coeff == 0:
         return False
     pairs = []
@@ -327,14 +328,14 @@ def log_kernel_check(lam, p: int, link: LinkSpectrum | None = None,
         for rate in rates:
             if rate.case in ("ii", "iii"):
                 if rate.case == "iii":
-                    pairs.append((_case_iii_pair(lam, p, n), rate.case))
+                    pairs.append((_case_iii_pair(lam, p), rate.case))
                 else:
                     pairs.append((LinkPairData(c_da=lam + p,
-                                               c_db=lam + n - p), rate.case))
+                                               c_db=lam + _N - p), rate.case))
             # cases (i)/(iv): single eigenforms; their log-descent uses the
             # same -j(2 lam + n - 1) coefficient, nonzero here
     for pr, _case in pairs:
-        A, B = cone_laplacian_apply(lam, p, n, 1, pr)
+        A, B = cone_laplacian_apply(lam, p, 1, pr)
         if A.get(1, Fraction(0)) != 0 or B.get(1, Fraction(0)) != 0:
             return False      # harmonic-case identity fails: cannot descend
         if A.get(0, Fraction(0)) == 0 or B.get(0, Fraction(0)) == 0:
@@ -342,22 +343,22 @@ def log_kernel_check(lam, p: int, link: LinkSpectrum | None = None,
     return True
 
 
-def index_change(p: int, lam1, lam2, link: LinkSpectrum | None = None,
-                 n: int = 4) -> int:
-    """Index jump of the weighted Laplacian between rates lam1 < lam2:
-    the sum of kernel dimensions over critical rates in (lam1, lam2)."""
+def index_change(p: int, lam1, lam2) -> int:
+    """Index jump of the weighted Laplacian on the cone over SO(3) between
+    rates lam1 < lam2: the sum of kernel dimensions over critical rates in
+    (lam1, lam2)."""
     lam1, lam2 = Fraction(lam1), Fraction(lam2)
-    link = link if link is not None else so3_link()
+    link = so3_link()
     eps = Fraction(1, 10 ** 9)
     for endpoint in (lam1, lam2):
-        hits = critical_rates(link, p, endpoint, endpoint + eps, n=n)
+        hits = critical_rates(link, p, endpoint, endpoint + eps)
         if any(r.rate == endpoint for r in hits):
             raise ValueError(f"endpoint {endpoint} is a critical rate")
     total = 0
-    for rate in critical_rates(link, p, lam1 + eps, lam2, n=n):
+    for rate in critical_rates(link, p, lam1 + eps, lam2):
         if not (lam1 < rate.rate < lam2):
             continue
-        if not log_kernel_check(rate.rate, p, link, n=n):
+        if not log_kernel_check(rate.rate, p):
             raise RuntimeError("log terms spoil the kernel-dimension count "
                                f"at rate {rate.rate}")
         total += rate.dimension
@@ -662,10 +663,11 @@ def naive_value_table(B) -> list:
     ]
 
 
-def refined_gradient_table(gamma=Fraction(1, 1000)) -> list:
+def refined_gradient_table() -> list:
     """Gradient bounds of the corrected (second-order matched) structure:
-    two interpolation scales at rcheck ~ t^{-1/9} and rcheck ~ t^{-4/5}."""
-    g = Fraction(gamma)
+    two interpolation scales at rcheck ~ t^{-1/9} and rcheck ~ t^{-4/5},
+    with the mid-region loss rcheck^g at g = 1/1000."""
+    g = Fraction(1, 1000)
     return [
         RatePiece("core", 0, 0, [(1, 0)]),
         RatePiece("inner", 0, Fraction(-1, 9), [(1, 1)]),
@@ -693,12 +695,12 @@ def linf_exponent(kappa, beta) -> Fraction:
     return Fraction(kappa) + Fraction(beta) - 1
 
 
-def best_B(table_builder, weight_exponent, grid_denominator: int = 20):
-    """Scan B on a rational grid in [-1, 0] maximizing the dominant
-    exponent of the given table; returns (B, exponent)."""
+def best_B(table_builder, weight_exponent):
+    """Scan B on the grid k/20 in [-1, 0] maximizing the dominant exponent
+    of the given table; returns (B, exponent)."""
     best = None
-    for num in range(-grid_denominator, 1):
-        B = Fraction(num, grid_denominator)
+    for num in range(-20, 1):
+        B = Fraction(num, 20)
         expo = jk_rate_bound(table_builder(B), weight_exponent)
         if expo is not None and (best is None or expo > best[1]):
             best = (B, expo)

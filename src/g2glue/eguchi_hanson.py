@@ -40,9 +40,9 @@ __all__ = [
 R, K = sp.symbols("r k", positive=True)
 
 
-def f_sym(k=K):
+def f_sym():
     """The profile f_k(r) = (k + r^2)^(1/4)."""
-    return (k + R ** 2) ** sp.Rational(1, 4)
+    return (K + R ** 2) ** sp.Rational(1, 4)
 
 
 # u stands for f_k(r): with k = u^4 - r^2 every (k + r^2)^(p/q) is a power

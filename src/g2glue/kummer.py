@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from typing import ClassVar
 
 import numpy as np
 import sympy as sp
@@ -173,17 +174,21 @@ def fixed_point_tori(g: TorusIsometry) -> list[FixedTorus]:
     return out
 
 
-def singular_components(b2_torus_quotient: int = 0) -> dict:
+def singular_components() -> dict:
     """Orbits of the fixed 3-tori under the group: the singular set of the
     quotient, with the free-action certificate.
 
     Returns counts per generator, the components (the orbits of each
     generator's fixed tori under the other two generators; twelve are
     expected), the smallest orbit length measured (4 exactly when that
-    Z2 x Z2 acts freely), pairwise disjointness, and the expected kernel
+    Z2 x Z2 acts freely), pairwise disjointness, b2 of T^7/Gamma (the
+    number of coordinate 2-forms dx_i ^ dx_j that every element
+    preserves, i.e. whose two signs agree) and the expected kernel
     dimension 12 + b2 of the quotient.
     """
     elements = gamma_elements()
+    b2 = sum(all(el.signs[i] == el.signs[j] for el in elements)
+             for i, j in combinations(range(7), 2))
     gens = {"a": ALPHA, "b": BETA, "c": GAMMA}
     counts = {}
     for el in elements:
@@ -224,7 +229,8 @@ def singular_components(b2_torus_quotient: int = 0) -> dict:
         "n_components": len(components),
         "orbit_size": min(len(orb) for _, orb in components),
         "disjoint": disjoint,
-        "kernel_dimension": 12 + b2_torus_quotient,
+        "b2": b2,
+        "kernel_dimension": 12 + b2,
     }
 
 
@@ -251,7 +257,7 @@ class GluingChart:
     """Cutoff data for one singular component: zeta = 1/9 and a quintic
     C^2 step between zeta/4 and zeta/2 in the flat distance s = 2 sqrt(r)."""
     t: float
-    zeta: float = 1.0 / 9.0
+    zeta: ClassVar[float] = 1.0 / 9.0
 
     def __post_init__(self):
         if not (0 < self.t < 1):
@@ -332,7 +338,7 @@ def _fiber_two_forms(chart: GluingChart, rs: np.ndarray):
     return om1_t, om2, om3
 
 
-def glued_structure(t: float, rs, chart: GluingChart | None = None):
+def glued_structure(t: float, rs):
     """(phi_t, theta_t): the glued 3-form and its companion 4-form at the
     chart points with Eguchi-Hanson radial coordinate rs (batched).
 
@@ -341,9 +347,7 @@ def glued_structure(t: float, rs, chart: GluingChart | None = None):
               - sum_cyc omega_tilde_i ^ delta_j ^ delta_k;
     both are closed (the radial cutoff derivative cancels exactly).
     """
-    chart = chart or GluingChart(t)
-    if chart.t != t:
-        raise ValueError("chart parameter mismatch")
+    chart = GluingChart(t)
     rs = np.asarray(rs, dtype=float)
     if np.any(rs <= 0):
         raise ValueError("chart requires r > 0")
@@ -399,13 +403,11 @@ def closedness_residual(t: float, rs) -> float:
     return float(resid)
 
 
-def torsion_form(t: float, rs, chart: GluingChart | None = None):
+def torsion_form(t: float, rs):
     """psi_t = *_{g(phi_t)} (Theta(phi_t) - theta_t) at the chart points,
     plus pointwise norms.  Raises PositivityError when phi_t leaves the
     G2 cone (t too large for the annulus)."""
-    chart = chart or GluingChart(t)
-    rs = np.asarray(rs, dtype=float)
-    phi, theta_t = glued_structure(t, rs, chart)
+    phi, theta_t = glued_structure(t, rs)
     g, vol = metric_from_g2(phi)
     mismatch = _theta_at(g, phi) - theta_t         # Theta(phi) with this g
     psi = hodge_star(g, mismatch)
@@ -415,12 +417,12 @@ def torsion_form(t: float, rs, chart: GluingChart | None = None):
     return psi, norms, g
 
 
-def _grad_norm(t: float, rs, chart: GluingChart, g) -> np.ndarray:
+def _grad_norm(t: float, rs, g) -> np.ndarray:
     """|nabla psi_t|: eh.radial_derivative of the coframe components of
     psi_t (one batched torsion_form call), measured with the metric g of
     phi_t at rs."""
     dpsi = Form(7, 3, eh.radial_derivative(
-        lambda r: torsion_form(t, r, chart)[0].coeffs, t, rs))
+        lambda r: torsion_form(t, r)[0].coeffs, t, rs))
     return np.sqrt(np.maximum(inner_product(g, dpsi, dpsi), 0.0))
 
 
@@ -442,13 +444,12 @@ def torsion_decay_fit(t_list, n_samples: int = 2000, beta: float = -0.05,
         raise ValueError("need at least 1 sample on the annulus")
     rows = []
     for t in t_list:
-        chart = GluingChart(t)
-        rs = chart.annulus(n_samples)
+        rs = GluingChart(t).annulus(n_samples)
         try:
-            _, norms, g = torsion_form(t, rs, chart)
+            _, norms, g = torsion_form(t, rs)
             sup_psi = float(norms.max())
             weighted = eh.weighted_norm([norms[None]], t, rs, beta - 2.0)
-            sup_grad = float(_grad_norm(t, rs, chart, g).max()) \
+            sup_grad = float(_grad_norm(t, rs, g).max()) \
                 if with_gradient else float("nan")
         except PositivityError:
             sup_psi, sup_grad, weighted = float("nan"), float("nan"), float("nan")
@@ -481,7 +482,7 @@ def plateau_metric_error(t: float) -> dict:
     out = {}
     for name, s_val in (("inner", chart.zeta / 8), ("outer", chart.zeta * 0.75)):
         r = float(chart.r_of_s(s_val))
-        phi, _ = glued_structure(t, np.array([r]), chart)
+        phi, _ = glued_structure(t, np.array([r]))
         g, _ = metric_from_g2(phi)
         if name == "inner":
             expected = np.eye(7)
@@ -507,8 +508,7 @@ def positivity_threshold(t_candidates=None) -> float:
     charts = [GluingChart(t) for t in t_candidates]
     for chart in sorted(charts, key=lambda c: c.t, reverse=True):
         try:
-            metric_from_g2(glued_structure(chart.t, chart.annulus(400),
-                                          chart)[0])
+            metric_from_g2(glued_structure(chart.t, chart.annulus(400))[0])
         except PositivityError:
             continue
         return float(chart.t)

@@ -225,17 +225,12 @@ class SpectralOps:
         spec = field.spec * (TWO_PI ** 2 * self.m2)
         return SpectralField(field.degree, spec, self.N)
 
-    def inv_laplacian(self, field: SpectralField,
-                      project: bool = False) -> SpectralField:
+    def inv_laplacian(self, field: SpectralField) -> SpectralField:
         """Invert the Hodge Laplacian on the mean-zero complement.
 
-        The constant modes are outside the image; with project=False a
-        nonzero constant mode raises, with project=True it is dropped (the
+        The constant modes are outside the image and are dropped (the
         discrete analogue of working orthogonal to the reference kernel).
         """
-        if not project and np.abs(field.spec[_ZERO_MODE]).max() > 1e-10 * (
-                1.0 + np.abs(field.spec).max()):
-            raise ValueError("cannot invert the Laplacian on the zero mode")
         spec = field.spec / self.lap_nonzero
         spec[_ZERO_MODE] = 0.0
         return SpectralField(field.degree, spec, self.N)
@@ -391,7 +386,7 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
     # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops);
     # nested, so that each spectrum is freed once read
     sigma = ops.delta(ops.inv_laplacian(ops.d(ops.mean_zero(ops.band_limit(
-        to_spectral(raw), max(1, cfg.N // 4)))), project=True))
+        to_spectral(raw), max(1, cfg.N // 4))))))
     del raw
     dsig = ops.d(sigma).to_grid()
     scale = float(np.abs(dsig.coeffs).max())

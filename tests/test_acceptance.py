@@ -173,8 +173,8 @@ def test_criterion_07_kummer_torsion_support_and_weighted_law():
     chart = kummer.GluingChart(0.01)
     inside = np.array([chart.r_of_s(chart.zeta / 8)])
     outside = np.array([chart.r_of_s(0.75 * chart.zeta)])
-    _, n_in, _ = kummer.torsion_form(0.01, inside, chart)
-    _, n_out, _ = kummer.torsion_form(0.01, outside, chart)
+    _, n_in, _ = kummer.torsion_form(0.01, inside)
+    _, n_out, _ = kummer.torsion_form(0.01, outside)
     support_ok = n_in.max() <= 1e-14 and n_out.max() <= 1e-14
 
     fit = kummer.torsion_decay_fit([0.008, 0.004, 0.002, 0.001],
@@ -207,9 +207,9 @@ def _fiber_wedge_eigenvalues(t, rs):
     return np.linalg.eigvalsh(Q)
 
 
-def _raises_positivity_error(t, rs, chart):
+def _raises_positivity_error(t, rs):
     try:
-        kummer.torsion_form(t, rs, chart)
+        kummer.torsion_form(t, rs)
     except F.PositivityError:
         return True
     return False
@@ -244,14 +244,13 @@ def test_criterion_07_stated_range_slope():
 
     indefinite_ok, agree_ok, details = True, True, []
     for t in stated:
-        chart = kummer.GluingChart(t)
-        rs = chart.annulus(n_samples)
+        rs = kummer.GluingChart(t).annulus(n_samples)
         ev = _fiber_wedge_eigenvalues(t, rs)
         definite = ev[:, 0] > 0
         indefinite_ok &= not definite.all()
         sampled = range(0, n_samples, 500)    # single-point calls: 40 per t
         mismatched = [i for i in sampled if _raises_positivity_error(
-            t, rs[i:i + 1], chart) == definite[i]]
+            t, rs[i:i + 1]) == definite[i]]
         agree_ok &= not mismatched
         details.append(f"t={t}: min eig ratio "
                        f"{(ev[:, 0] / ev[:, 2]).min():.3g}, Q indefinite on "

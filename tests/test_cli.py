@@ -210,13 +210,19 @@ def test_fixed_points_orbit_size_is_measured(monkeypatch):
     ["cone", "index", "--degree", "2", "--from=-2", "--to=-1"],
     ["kummer", "torsion", "--samples", "0"],
     ["torus", "solve", "--tol=-1"],
+    ["kummer", "torsion", "--beta", "x"],
+    ["eh", "verify", "--samples", "abc"],
+    ["torus", "solve", "--n", "x"],
+    ["rates", "jk", "--table", "bogus"],
 ], ids=["rational-not-a-number", "rational-zero-denominator",
         "degree-above-4", "degree-negative", "empty-rate-interval",
         "beyond-link-tables", "critical-endpoint", "no-samples",
-        "negative-tol"])
+        "negative-tol", "float-not-a-number", "int-not-a-number",
+        "grid-size-not-a-number", "unknown-table"])
 def test_invalid_input_rejected(argv, capsys):
     assert run_cli(argv) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "Traceback" not in err
 
 
 def test_bad_config_value_rejected(tmp_path, capsys):

@@ -47,7 +47,7 @@ def test_insufficient_spectrum_reported():
 
 def test_cone_laplacian_harmonic_case():
     pair = C.LinkPairData(c_da=Fr(2), c_db=Fr(2))   # rate -2, degree 2, n 4
-    A, B = C.cone_laplacian_apply(-2, 2, 4, 0, pair)
+    A, B = C.cone_laplacian_apply(-2, 2, 0, pair)
     assert A == {} and B == {}
 
 
@@ -56,15 +56,15 @@ def test_cone_laplacian_log_descent_coefficient():
     # lam = -2, n = 4 (the quoted display's 2j overstates it; the descent
     # conclusion is the same since the coefficient is nonzero)
     pair = C.LinkPairData(c_da=Fr(2), c_db=Fr(2))
-    A, B = C.cone_laplacian_apply(-2, 2, 4, 1, pair)
+    A, B = C.cone_laplacian_apply(-2, 2, 1, pair)
     assert A == {0: Fr(1)} and B == {0: Fr(1)}
-    A2, B2 = C.cone_laplacian_apply(-2, 2, 4, 2, pair)
+    A2, B2 = C.cone_laplacian_apply(-2, 2, 2, pair)
     assert A2 == {1: Fr(2), 0: Fr(-2)}
 
 
 def test_cone_laplacian_zero_pair():
     pair = C.LinkPairData(c_da=Fr(0), c_db=Fr(0))
-    A, B = C.cone_laplacian_apply(Fr(1), 1, 4, 0, pair)
+    A, B = C.cone_laplacian_apply(Fr(1), 1, 0, pair)
     # trivial pair: A and B reduce to the bare quadratic coefficients
     assert set(A) <= {0} and set(B) <= {0}
 
@@ -99,13 +99,13 @@ def test_degree_swap_duality():
 def test_rates_satisfy_case_equations_exactly():
     for p in (0, 1, 2):
         for rate in C.critical_rates(SO3, p, -6, 2):
-            a, b, q, kind = C._case_parameters(p, 4)[rate.case]
+            a, b, q, kind = C._case_parameters(p)[rate.case]
             assert (rate.rate + a) * (rate.rate + b) == rate.link_eigenvalue
             if rate.case in ("ii", "iii"):
-                pair = C._case_iii_pair(rate.rate, p, 4) if rate.case == "iii" \
+                pair = C._case_iii_pair(rate.rate, p) if rate.case == "iii" \
                     else C.LinkPairData(c_da=rate.rate + p,
                                         c_db=rate.rate + 4 - p)
-                A, B = C.cone_laplacian_apply(rate.rate, p, 4, 0, pair)
+                A, B = C.cone_laplacian_apply(rate.rate, p, 0, pair)
                 assert A == {} and B == {}
 
 

@@ -72,7 +72,26 @@ def test_singular_components():
     assert sc["orbit_size"] == 4
     assert sc["disjoint"]
     assert sc["kernel_dimension"] == 12
-    assert KM.singular_components(b2_torus_quotient=3)["kernel_dimension"] == 15
+
+
+def _invariant_two_forms(elements):
+    """How many of the 21 coordinate 2-forms the linear part of every
+    element pulls back to themselves."""
+    return sum(all(np.array_equal(F.pullback(np.diag(el.signs), w).coeffs,
+                                  w.coeffs) for el in elements)
+               for w in (Form.basis(7, ij) for ij in index_list(7, 2)))
+
+
+def test_b2_counts_the_invariant_two_forms(monkeypatch):
+    assert _invariant_two_forms(KM.gamma_elements()) == 0
+    assert KM.singular_components()["b2"] == 0
+    # with the group cut down to {1, alpha}, the 2-forms on the flipped T^4
+    # and on the fixed T^3 survive: 6 + 3
+    small = [KM.TorusIsometry((1,) * 7, (0,) * 7), KM.ALPHA]
+    assert _invariant_two_forms(small) == 9
+    monkeypatch.setattr(KM, "gamma_elements", lambda: small)
+    sc = KM.singular_components()
+    assert sc["b2"] == 9 and sc["kernel_dimension"] == 21
 
 
 def test_group_closure_failure_raises(monkeypatch):
@@ -115,8 +134,8 @@ def test_inner_plateau_is_product_structure():
     t = 0.05
     chart = KM.GluingChart(t)
     rs = np.array([chart.r_of_s(chart.zeta / 8)])
-    phi, theta_t = KM.glued_structure(t, rs, chart)
-    psi, norms, _ = KM.torsion_form(t, rs, chart)
+    phi, theta_t = KM.glued_structure(t, rs)
+    psi, norms, _ = KM.torsion_form(t, rs)
     assert norms.max() < 1e-14
     from g2glue.forms import theta
     assert np.abs(theta(phi).coeffs - theta_t.coeffs).max() < 1e-13
@@ -126,7 +145,7 @@ def test_outer_region_is_flat_structure():
     t = 0.05
     chart = KM.GluingChart(t)
     rs = np.array([chart.r_of_s(0.8 * chart.zeta)])
-    _, norms, _ = KM.torsion_form(t, rs, chart)
+    _, norms, _ = KM.torsion_form(t, rs)
     assert norms.max() < 1e-14
 
 
@@ -211,7 +230,7 @@ def test_glued_structure_matches_the_wedge_chain():
     for t in (0.004, 0.05):
         chart = KM.GluingChart(t)
         rs = chart.r_of_s(np.linspace(chart.zeta / 8, chart.zeta * 0.75, 200))
-        phi, theta_t = KM.glued_structure(t, rs, chart)
+        phi, theta_t = KM.glued_structure(t, rs)
         ref_phi, ref_theta = _glued_by_wedges(t, rs, chart)
         assert phi.coeffs.shape == ref_phi.coeffs.shape
         assert np.array_equal(phi.coeffs, ref_phi.coeffs)
@@ -220,7 +239,7 @@ def test_glued_structure_matches_the_wedge_chain():
             <= 1e-15 * np.abs(ref_theta.coeffs).max()
     # a batch of shape (2, n), as the gradient's r +- delta call makes
     rs2 = np.stack([rs, 1.01 * rs])
-    assert np.array_equal(KM.glued_structure(t, rs2, chart)[0].coeffs,
+    assert np.array_equal(KM.glued_structure(t, rs2)[0].coeffs,
                           _glued_by_wedges(t, rs2, chart)[0].coeffs)
 
 
@@ -242,13 +261,13 @@ def test_warm_torsion_form_compiles_nothing(monkeypatch):
     t = 0.004
     chart = KM.GluingChart(t)
     rs = chart.r_of_s(np.linspace(chart.zeta / 4, chart.zeta / 2, 50))
-    cold = KM.torsion_form(t, rs, chart)
+    cold = KM.torsion_form(t, rs)
     calls = _counting_sympy(monkeypatch, ("simplify", "lambdify"))
-    warm = KM.torsion_form(t, rs, chart)
+    warm = KM.torsion_form(t, rs)
     assert calls == {"simplify": 0, "lambdify": 0}
     assert np.array_equal(warm[0].coeffs, cold[0].coeffs)
     # a new k reuses the same compiled forms
-    KM.torsion_form(2 * t, 4 * rs, KM.GluingChart(2 * t))
+    KM.torsion_form(2 * t, 4 * rs)
     assert calls == {"simplify": 0, "lambdify": 0}
 
 
@@ -259,9 +278,9 @@ def test_torsion_supported_on_annulus():
     outside = np.array([chart.r_of_s(0.75 * chart.zeta)])
     mid = np.array([chart.r_of_s(0.375 * chart.zeta)])
     for rs in (inside, outside):
-        _, norms, _ = KM.torsion_form(t, rs, chart)
+        _, norms, _ = KM.torsion_form(t, rs)
         assert norms.max() <= 1e-14
-    _, norms, _ = KM.torsion_form(t, mid, chart)
+    _, norms, _ = KM.torsion_form(t, mid)
     assert norms.max() > 0
 
 
@@ -271,7 +290,7 @@ def test_torsion_norms_match_inner_product():
     for t in (0.008, 0.004, 0.002, 0.001):
         chart = KM.GluingChart(t)
         s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999, 200)
-        psi, norms, g = KM.torsion_form(t, chart.r_of_s(s), chart)
+        psi, norms, g = KM.torsion_form(t, chart.r_of_s(s))
         ref = np.sqrt(np.maximum(inner_product(g, psi, psi), 0.0))
         assert ref.max() > 0
         assert np.abs(norms - ref).max() <= 1e-12 * ref.max()
@@ -282,7 +301,7 @@ def test_torsion_bounded_by_t4():
     t = 0.004
     chart = KM.GluingChart(t)
     s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999, 500)
-    _, norms, _ = KM.torsion_form(t, chart.r_of_s(s), chart)
+    _, norms, _ = KM.torsion_form(t, chart.r_of_s(s))
     c = norms.max() / t ** 4
     assert 0 < c < 1e7
 
@@ -303,14 +322,14 @@ def test_gradient_from_one_batched_call(monkeypatch):
     chart = KM.GluingChart(t)
     rs = chart.r_of_s(np.linspace(chart.zeta / 4 * 1.0001,
                                   chart.zeta / 2 * 0.9999, 300))
-    _, _, g = KM.torsion_form(t, rs, chart)
+    _, _, g = KM.torsion_form(t, rs)
     delta = 1e-6 * rs
-    psi_p = KM.torsion_form(t, rs + delta, chart)[0].coeffs
-    psi_m = KM.torsion_form(t, rs - delta, chart)[0].coeffs
+    psi_p = KM.torsion_form(t, rs + delta)[0].coeffs
+    psi_m = KM.torsion_form(t, rs - delta)[0].coeffs
     dpsi = Form(7, 3, (chart.k + rs ** 2) ** 0.25 * (psi_p - psi_m)
                 / (2.0 * delta))
     expected = np.sqrt(np.maximum(inner_product(g, dpsi, dpsi), 0.0))
-    got = KM._grad_norm(t, rs, chart, g)
+    got = KM._grad_norm(t, rs, g)
     assert expected.max() > 0
     assert np.abs(got - expected).max() <= 1e-12 * expected.max()
     # a fit with gradient makes two torsion_form calls per t
@@ -340,7 +359,7 @@ def _threshold_by_torsion(candidates):
         chart = KM.GluingChart(t)
         s = np.linspace(chart.zeta / 4 * 1.0001, chart.zeta / 2 * 0.9999, 400)
         try:
-            KM.torsion_form(t, chart.r_of_s(s), chart)
+            KM.torsion_form(t, chart.r_of_s(s))
         except PositivityError:
             continue
         passing.append(t)
@@ -388,7 +407,7 @@ def test_torsion_rejects_positivity_failure():
     chart = KM.GluingChart(0.1)
     s = np.linspace(chart.zeta / 4 * 1.05, chart.zeta / 2 * 0.95, 50)
     with pytest.raises(PositivityError):
-        KM.torsion_form(0.1, chart.r_of_s(s), chart)
+        KM.torsion_form(0.1, chart.r_of_s(s))
 
 
 def test_glued_structure_errors():

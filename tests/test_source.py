@@ -5,13 +5,17 @@ import importlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
+import pytest
 import sympy as sp
 
 import g2glue
+from g2glue import cone, kummer, torus
+from g2glue import eguchi_hanson as eh
 
 PACKAGE = Path(g2glue.__file__).parent
 
@@ -261,3 +265,36 @@ def test_cached_tables_are_read_only():
             result = getattr(modules[name], attr)(*args)
             found += _writable(result, f"{qualname}{args}", set())
     assert found == []
+
+
+# Fixed data are constants, not parameters: the cone is 4-dimensional
+# over SO(3), a gluing chart is GluingChart(t) with zeta = 1/9, b2 is
+# computed from the group, the rate tables fix their own grid and loss.
+# At n = 7 critical_rates used to read a 3-dimensional link's tables.
+@pytest.mark.parametrize("call", [
+    lambda: cone.critical_rates(cone.so3_link(), 2, -6, 2, n=7),
+    lambda: cone.log_kernel_check(-2, 2, n=4),
+    lambda: cone.log_kernel_check(-2, 2, link=cone.so3_link()),
+    lambda: cone.index_change(2, -3, -1, n=5),
+    lambda: cone.index_change(2, -3, -1, link=cone.so3_link()),
+    lambda: cone.cone_laplacian_apply(-2, 2, 4, 0,
+                                      cone.LinkPairData(2, 2)),
+    lambda: cone.refined_gradient_table(Fraction(1, 1000)),
+    lambda: cone.best_B(cone.naive_gradient_table, -2,
+                        grid_denominator=20),
+    lambda: kummer.glued_structure(0.05, [1e-3],
+                                   chart=kummer.GluingChart(0.05)),
+    lambda: kummer.torsion_form(0.05, [1e-3], kummer.GluingChart(0.05)),
+    lambda: kummer.GluingChart(0.05, zeta=0.2),
+    lambda: kummer.singular_components(b2_torus_quotient=3),
+    lambda: eh.f_sym(k=1),
+    lambda: torus.derivative_ops(2).inv_laplacian(
+        torus.SpectralField.zero(2, 2), project=True),
+], ids=["critical_rates-n", "log_kernel_check-n", "log_kernel_check-link",
+        "index_change-n", "index_change-link", "cone_laplacian_apply-n",
+        "refined_gradient_table-gamma", "best_B-grid_denominator",
+        "glued_structure-chart", "torsion_form-chart", "GluingChart-zeta",
+        "singular_components-b2", "f_sym-k", "inv_laplacian-project"])
+def test_removed_parameters_raise(call):
+    with pytest.raises(TypeError):
+        call()
