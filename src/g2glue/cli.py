@@ -406,6 +406,9 @@ def suite_torus_solve(n: int, eps: float, seed: int, tol: float, max_iter: int,
                   report["distance_to_flat"], 0.0, dist_tol, "unique-flat"),
         _passfail("cohomology-class", report["zero_mode_gap"] <= 1e-14,
                   report["zero_mode_gap"], 0.0, 1e-14, "class-preserved"),
+        _passfail("gamma-invariance", report["invariance_defect"] <= 1e-12,
+                  report["invariance_defect"], 0.0, 1e-12,
+                  "gamma-invariant-model"),
         _check("contraction-factors", "reported",
                report["contraction_factors"], "< 1", None, "contraction"),
     ]

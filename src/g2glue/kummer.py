@@ -5,14 +5,19 @@ decay-exponent certification.
 Combinatorics are exact (Fraction arithmetic over half-integer shifts).
 The involutions below use the convention that the associative coordinates
 sit last (alpha fixes the (x5, x6, x7) torus); the flat 3-form they
-preserve is the product arrangement listed in INVARIANT_PHI_TERMS, which
-is a positive G2-form (its reconstructed metric is the identity).
+preserve is INVARIANT_PHI_TERMS, the image of forms.phi0 under the signed
+permutation L (L_PERM, L_SIGNS), and a positive G2-form (its
+reconstructed metric is the identity).
 
 Chart-wise geometry: the gluing chart carries the coframe
 (delta1, delta2, delta3, dt, e1, e2, e3) with the Eguchi-Hanson
 orthonormal legs in slots 3..6.  The cutoff argument is the flat-model
 distance s(r) = 2 sqrt(r), zeta = 1/9, with a quintic C^2 step between
 zeta/4 and zeta/2.
+
+The group layer imports neither sympy nor eguchi_hanson, so torus reads
+the group without loading them; the geometry functions that need them
+import them on first use.
 """
 
 from __future__ import annotations
@@ -24,15 +29,14 @@ from itertools import combinations, product
 from typing import ClassVar
 
 import numpy as np
-import sympy as sp
 
-from . import eguchi_hanson as eh
 from .forms import (Form, PositivityError, _read_only, _theta_at, hodge_star,
                     index_list, index_position, inner_product, metric_from_g2,
-                    wedge)
+                    phi0, pullback, wedge)
 
 __all__ = [
-    "TorusIsometry", "ALPHA", "BETA", "GAMMA", "INVARIANT_PHI_TERMS",
+    "TorusIsometry", "ALPHA", "BETA", "GAMMA", "L_PERM", "L_SIGNS",
+    "INVARIANT_PHI_TERMS",
     "gamma_elements", "FixedTorus",
     "fixed_point_tori", "singular_components", "GluingChart",
     "glued_structure", "torsion_form", "closedness_residual",
@@ -86,12 +90,26 @@ BETA = TorusIsometry((-1, -1, 1, 1, -1, -1, 1),
 GAMMA = TorusIsometry((-1, 1, -1, 1, -1, 1, -1),
                       (HALF, 0, HALF, 0, 0, 0, 0), "c")
 
-# flat 3-form preserved by the group (0-based index triples);
-# the arrangement is the product split with the associative torus last
+# The signed permutation L: dx_i -> L_SIGNS[i] dx_{L_PERM[i]}, the pullback
+# by the matrix with L_SIGNS[i] at (i, L_PERM[i]).  It maps forms.phi0 onto
+# the flat 3-form that the group preserves, so the conjugate group
+# L^-1 Gamma L (signs and shifts read through L_PERM) preserves phi0.
+L_PERM = (0, 1, 6, 2, 5, 4, 3)
+L_SIGNS = (1, 1, 1, -1, 1, 1, 1)
+
+
+def _l_image(form: Form) -> Form:
+    """L's image of a constant form."""
+    A = np.zeros((7, 7))
+    A[range(7), L_PERM] = L_SIGNS
+    return pullback(A, form)
+
+
+# flat 3-form preserved by the group (0-based index triples), L's image of
+# phi0: the product split with the associative torus last
 INVARIANT_PHI_TERMS = {
-    (4, 5, 6): 1.0, (2, 3, 6): 1.0, (0, 1, 6): 1.0, (1, 3, 5): 1.0,
-    (0, 2, 5): -1.0, (0, 3, 4): -1.0, (1, 2, 4): -1.0,
-}
+    idx: float(c) for idx, c in zip(index_list(7, 3), _l_image(phi0()).coeffs)
+    if c != 0.0}
 
 
 def gamma_elements() -> list[TorusIsometry]:
@@ -178,8 +196,9 @@ def singular_components() -> dict:
     """Orbits of the fixed 3-tori under the group: the singular set of the
     quotient, with the free-action certificate.
 
-    Returns counts per generator, the components (the orbits of each
-    generator's fixed tori under the other two generators; twelve are
+    Every field is read from the one list gamma_elements() returns.
+    Returns counts per non-identity element, the components (the orbits
+    of each generator's fixed tori under the other generators; twelve are
     expected), the smallest orbit length measured (4 exactly when that
     Z2 x Z2 acts freely), pairwise disjointness, b2 of T^7/Gamma (the
     number of coordinate 2-forms dx_i ^ dx_j that every element
@@ -189,7 +208,8 @@ def singular_components() -> dict:
     elements = gamma_elements()
     b2 = sum(all(el.signs[i] == el.signs[j] for el in elements)
              for i, j in combinations(range(7), 2))
-    gens = {"a": ALPHA, "b": BETA, "c": GAMMA}
+    # the generators are the elements named by one letter
+    gens = {el.name: el for el in elements if len(el.name) == 1}
     counts = {}
     for el in elements:
         if el.is_identity():
@@ -235,17 +255,9 @@ def singular_components() -> dict:
 
 
 def _subgroup_without(elements, gname: str):
-    """The Z2 x Z2 generated by the two other involutions."""
-    others = [g for n, g in (("a", ALPHA), ("b", BETA), ("c", GAMMA))
-              if n != gname]
-    sub = {}
-    ident = TorusIsometry((1,) * 7, (0,) * 7, "")
-    for combo in ([], [others[0]], [others[1]], [others[0], others[1]]):
-        el = ident
-        for g in combo:
-            el = g.compose(el)
-        sub[el.key()] = el
-    return list(sub.values())
+    """The subgroup generated by the other generators: the elements whose
+    name, the composed generators' names, leaves out gname."""
+    return [el for el in elements if gname not in el.name]
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +328,7 @@ def _fiber_forms():
     """(omega_1, omega_2, omega_3, dr ^ tau_1, d tau_1) of g_(k), built once
     per process on first use; each compiles its evaluator on its first
     evaluate_onb, with k a runtime argument."""
+    from . import eguchi_hanson as eh
     om1, om2, om3 = eh.hyperkaehler_triple()
     _, _, tau1 = eh.harmonic_forms()
     dr_tau1 = eh.RadialForm(2, {(0, 1): eh.f_sym() ** 2 - eh.R})
@@ -380,6 +393,8 @@ def closedness_residual(t: float, rs) -> float:
     Returns the largest mismatch relative to the size of the form, or inf
     if a reference form is not closed.
     """
+    import sympy as sp
+    from . import eguchi_hanson as eh
     chart = GluingChart(t)
     rs = np.asarray(rs, dtype=float)
     chi = sp.Function("chi")(eh.R)
@@ -421,6 +436,7 @@ def _grad_norm(t: float, rs, g) -> np.ndarray:
     """|nabla psi_t|: eh.radial_derivative of the coframe components of
     psi_t (one batched torsion_form call), measured with the metric g of
     phi_t at rs."""
+    from . import eguchi_hanson as eh
     dpsi = Form(7, 3, eh.radial_derivative(
         lambda r: torsion_form(t, r)[0].coeffs, t, rs))
     return np.sqrt(np.maximum(inner_product(g, dpsi, dpsi), 0.0))
@@ -435,6 +451,7 @@ def torsion_decay_fit(t_list, n_samples: int = 2000, beta: float = -0.05,
     Entries are NaN when phi_t is not a G2-structure on the annulus
     (t beyond the positivity threshold T0).
     """
+    from . import eguchi_hanson as eh
     t_list = list(t_list)
     if len(t_list) < 4:
         raise ValueError("need at least 4 values of t")

@@ -25,10 +25,16 @@ back F0.  At the fixed point *0[P0 chi - *0 F0] equals
 Theta(phi + d eta) - *0 phi0 identically, so the reported torsion
 residual vanishes with the iteration error, independent of grid effects.
 
-Positivity is proved where a metric is eliminated, once per point and
+The model is that of the orbifold T^7/Gamma: sigma is averaged over
+Gamma' = L^-1 Gamma L (kummer.gamma_elements() in the frame of phi0, by
+the signed permutation kummer.L_PERM), whose linear parts fix phi0.  So
+every iterate is Gamma'-invariant, and a step takes the pointwise split
+once per Gamma'-orbit of the grid.
+
+Positivity is proved where a metric is eliminated, once per orbit and
 iterate: a step's Theta raises PositivityError where phi + d eta leaves
 the G2 cone.  The first iterate is phi itself, so its Theta is the gate
-on eps.
+on eps.  The reported residual takes Theta at every grid point.
 
 A field has one representation at a time.  Grid values are a forms.Form
 whose batch shape is the (N,)*7 grid, so the pointwise G2 algebra (theta,
@@ -46,6 +52,7 @@ import struct
 import numpy as np
 import scipy.fft
 
+from . import kummer
 from .forms import (_THETA_BLOCK, Form, Metric, PositivityError, _place,
                     _read_only, _theta_at, _theta_linear, _wedge_table,
                     hodge_star, index_list, metric_from_g2, phi0, star_phi0,
@@ -175,6 +182,113 @@ class SpectralField:
 
 
 # ----------------------------------------------------------------------
+# the group Gamma' on the grid
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _gamma_prime() -> tuple[np.ndarray, np.ndarray]:
+    """Gamma' = L^-1 Gamma L: the elements of kummer.gamma_elements() with
+    signs and shifts read through kummer.L_PERM, as (signs, halves), each
+    (8, 7), element 0 the identity.  Element g maps x to
+    signs[g] x + halves[g] / 2, so grid index k to
+    signs[g] k + halves[g] N/2 mod N (N even).  Its linear part fixes
+    phi0, so it lies in G2."""
+    perm = list(kummer.L_PERM)
+    elements = kummer.gamma_elements()
+    signs = np.array([[el.signs[j] for j in perm] for el in elements])
+    halves = np.array([[int(2 * el.shift[j]) for j in perm]
+                       for el in elements])
+    return _read_only(signs), _read_only(halves)
+
+
+@lru_cache(maxsize=None)
+def _component_signs(degree: int) -> np.ndarray:
+    """(8, ncomp): the sign by which the linear part of each element of
+    Gamma' multiplies each basis form of the degree."""
+    idx = np.array(index_list(7, degree))
+    return _read_only(_gamma_prime()[0][:, idx].prod(axis=-1))
+
+
+def _at_image(comp: np.ndarray, signs, halves) -> np.ndarray:
+    """One component's grid values (N,)*7 at g x: index k reads
+    signs k + halves N/2 mod N, by np.flip (k -> N - 1 - k) and np.roll
+    per axis."""
+    N = comp.shape[0]
+    shifts = []
+    for ax, (s, h) in enumerate(zip(signs, halves)):
+        if s < 0:
+            comp = np.flip(comp, axis=ax)
+        shifts.append(int(s < 0) + h * (N // 2))
+    return np.roll(comp, shifts, axis=tuple(range(7)))
+
+
+def _gamma_average(field: Form) -> None:
+    """Replace grid values, in place, by their mean over Gamma',
+    (1/8) sum_g g* field: g* multiplies each component by its sign and
+    reads it at g x.  The linear parts are diagonal, so one component at
+    a time."""
+    signs, halves = _gamma_prime()
+    eps = _component_signs(field.degree)
+    for i, comp in enumerate(field.coeffs):
+        acc = comp.copy()                   # element 0, the identity
+        for g in range(1, len(signs)):
+            acc += eps[g, i] * _at_image(comp, signs[g], halves[g])
+        comp[...] = acc / len(signs)
+
+
+def _image_index(coords, signs, halves, N: int):
+    """Flat grid index of g(k), for grid coordinates coords[a] along each
+    axis a (arrays that broadcast together)."""
+    flat = 0
+    for k, s, h in zip(coords, signs, halves):
+        flat = flat * N + (s * k + h * (N // 2)) % N
+    return flat
+
+
+def _grid_map(N: int, signs, halves) -> np.ndarray:
+    """The flat index of g(k) at every grid point k, (N,)*7."""
+    return _image_index([np.arange(N).reshape((-1,) + (1,) * (6 - a))
+                         for a in range(7)], signs, halves, N)
+
+
+def _invariance_defect(field: Form) -> float:
+    """max over g in Gamma' of ||g* field - field||_Linf / ||field||_Linf
+    on the grid values (0 for the zero field).  The values at g x are
+    gathered by _grid_map, not by the np.flip/np.roll of _gamma_average,
+    so the check does not share the averaging's reading of the group."""
+    signs, halves = _gamma_prime()
+    eps = _component_signs(field.degree)
+    c = field.coeffs.reshape(eps.shape[1], -1)
+    worst = 0.0
+    for g in range(1, len(signs)):
+        at_image = _grid_map(field.coeffs.shape[-1], signs[g],
+                             halves[g]).ravel()
+        for i, comp in enumerate(c):    # one component's temporary
+            diff = comp[at_image]
+            diff *= eps[g, i]
+            diff -= comp
+            worst = max(worst, float(np.abs(diff, out=diff).max()))
+    scale = float(np.abs(c).max())
+    return worst / scale if scale > 0.0 else 0.0
+
+
+@lru_cache(maxsize=None)
+def _orbit_tables(N: int) -> np.ndarray:
+    """(8, n_orbits) flat grid indices: column o holds g(rep_o) for each
+    element g of Gamma', where rep_o is the least index of the o-th
+    orbit; row 0 (the identity) holds the representatives.  Built one
+    element's map of the grid at a time."""
+    signs, halves = _gamma_prime()
+    least = _grid_map(N, signs[0], halves[0])
+    for s, h in zip(signs[1:], halves[1:]):
+        np.minimum(least, _grid_map(N, s, h), out=least)
+    reps = np.flatnonzero(least.ravel() == np.arange(N ** 7))
+    coords = np.unravel_index(reps, (N,) * 7)
+    return _read_only(np.stack([_image_index(coords, s, h, N)
+                                for s, h in zip(signs, halves)]))
+
+
+# ----------------------------------------------------------------------
 # spectral derivative operators
 # ----------------------------------------------------------------------
 
@@ -301,17 +415,27 @@ def _flat_split_F(chi: Form) -> Form:
     """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field,
     written over the grid values of chi, which the caller hands over.
 
-    One theta block of points at a time, so no grid-sized phi0 + chi,
-    Theta, T0 chi or F of its own exists.  Theta raises PositivityError
-    where phi0 + chi is not a G2-structure."""
+    chi must be Gamma'-invariant, chi(g x) = g's component signs times
+    chi(x).  F0 is then taken at one representative point per orbit
+    (_orbit_tables), one theta block of them at a time, and written to
+    each image g(rep) with g's 4-form component signs: g's linear part
+    fixes phi0 and lies in G2, Theta is G2-equivariant and T0 commutes
+    with it.  Theta raises PositivityError where phi0 + chi is not a
+    G2-structure at a representative; at every other point phi0 + chi is
+    the image of a representative's under that linear map, so it is
+    positive with it."""
+    images = _orbit_tables(chi.coeffs.shape[1])
     pts = chi.coeffs.reshape(35, -1)
+    reps = pts[:, images[0]]
     p0, star0 = phi0().coeffs[:, None], star_phi0().coeffs[:, None]
-    for lo in range(0, pts.shape[1], _THETA_BLOCK):
-        c = pts[:, lo:lo + _THETA_BLOCK]
+    for lo in range(0, reps.shape[1], _THETA_BLOCK):
+        c = reps[:, lo:lo + _THETA_BLOCK]
         t_c = flat_t_matrix() @ c
         theta_c = theta(Form(7, 3, p0 + c)).coeffs
         np.subtract(star0, t_c, out=c)
         c -= theta_c
+    for sign, img in zip(_component_signs(4), images):
+        pts[:, img] = sign[:, None] * reps
     return Form(7, 4, pts.reshape(chi.coeffs.shape))
 
 
@@ -344,8 +468,10 @@ class SolverConfig:
 
 # Peak RSS of a solve per grid point: the slope of ru_maxrss between an
 # N = 4 and an N = 6 solve in fresh processes, 1282 B, with a quarter on
-# top for allocator slack.  solve holds no grid-sized phi, psi, metric or
-# 4-form; its peak is in the spectral chains of _model_sigma and a step.
+# top for allocator slack; re-measured with the orbit reduction at 1300 B,
+# against 1303 B without it on the same box.  solve holds no grid-sized
+# phi, psi, metric or 4-form; its peak is in the spectral chains of
+# _model_sigma and a step.
 _PEAK_BYTES_PER_POINT = 1600
 
 
@@ -370,7 +496,9 @@ _EPS_TOO_LARGE = "eps too large: phi leaves the G2 cone on the grid"
 
 def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
     """sigma and the grid values of d sigma for the model problem, scaled
-    so that ||d sigma||_Linf = 1, after the memory refusal.
+    so that ||d sigma||_Linf = 1, after the memory refusal.  sigma is the
+    coexact band-limited part of a random draw averaged over Gamma', so
+    sigma, phi and every iterate of a solve are Gamma'-invariant.
 
     Nothing here proves phi = phi0 + eps d sigma positive: the first
     elimination of phi's metric does, in make_model_problem or in the
@@ -381,10 +509,16 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
             f"N = {cfg.N} needs about {need / 2 ** 30:.1f} GiB, "
             f"{avail / 2 ** 30:.1f} GiB available")
     ops = derivative_ops(cfg.N)
+    # the steps' cached orbit tables, built before any grid-sized array:
+    # built inside the first step, the long-lived table held heap pages
+    # there and raised the peak RSS (3 MB at N = 4)
+    _orbit_tables(cfg.N)
     rng = np.random.default_rng(cfg.seed)
     raw = Form(7, 2, rng.normal(size=(21,) + (cfg.N,) * 7))
-    # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops);
-    # nested, so that each spectrum is freed once read
+    _gamma_average(raw)
+    # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops,
+    # which commute with Gamma', so sigma stays invariant); nested, so
+    # that each spectrum is freed once read
     sigma = ops.delta(ops.inv_laplacian(ops.d(ops.mean_zero(ops.band_limit(
         to_spectral(raw), max(1, cfg.N // 4))))))
     del raw
@@ -398,9 +532,9 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
 
 
 def make_model_problem(cfg: SolverConfig):
-    """phi = phi0 + eps d sigma for a random band-limited coexact 2-form
-    sigma with || d sigma ||_Linf = 1, and the torsion bookkeeping 3-form
-    psi with *psi = Theta(phi) - *0 phi0.
+    """phi = phi0 + eps d sigma for a random Gamma'-invariant band-limited
+    coexact 2-form sigma with || d sigma ||_Linf = 1, and the torsion
+    bookkeeping 3-form psi with *psi = Theta(phi) - *0 phi0.
 
     Refuses a grid that cannot fit in memory before allocating it, and
     raises PositivityError where phi is not a G2-structure at some grid
@@ -477,7 +611,7 @@ def solve(cfg: SolverConfig):
     """Run the iteration to the torsion-free structure; returns
     (eta, report), eta as grid values.  On the flat torus the target is
     phi0 itself, so the report carries both the torsion residual and the
-    distance to phi0.
+    distance to phi0, and the invariance defect of eta under Gamma'.
 
     The model problem enters as its potential eps sigma, after the memory
     refusal of make_model_problem; psi is never built, and phi + d eta is
@@ -518,6 +652,7 @@ def solve(cfg: SolverConfig):
     phi_tilde.coeffs[:] += phi0().coeffs[_CONST]
     eta = eta.to_grid()
     del pot
+    # the full-grid Theta: independent of the orbit reduction of the steps
     res = _torsion_linf(phi_tilde)
     dist = float(np.abs(phi_tilde.coeffs - phi0().coeffs[_CONST]).max())
     # the grid mean of each component is its constant Fourier mode
@@ -530,6 +665,7 @@ def solve(cfg: SolverConfig):
         "residual": res,
         "distance_to_flat": dist,
         "zero_mode_gap": zero_mode_gap,
+        "invariance_defect": _invariance_defect(eta),
         "contraction_factors": contraction,
         "step_sizes": diffs,
     }

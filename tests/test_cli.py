@@ -247,10 +247,12 @@ def test_csv_only_where_rows_exist(tmp_path, capsys):
 
 def test_torus_checks_apply_their_tolerance(monkeypatch, tmp_path):
     # a solve whose distance to phi0 is above 1e-8 must fail the distance
+    # check, and one whose invariance defect is above 1e-12 the invariance
     # check; the residual's bound is max(tol, 1e-8), and each bound applied
     # is reported as the check's tolerance
     report = {"iterations": 3, "residual": 5e-7, "distance_to_flat": 2e-8,
-              "zero_mode_gap": 0.0, "contraction_factors": [0.1]}
+              "zero_mode_gap": 0.0, "invariance_defect": 2e-12,
+              "contraction_factors": [0.1]}
     monkeypatch.setattr(torus, "solve", lambda cfg: (None, report))
     out = tmp_path / "t.json"
     assert run_cli(["torus", "solve", "--n", "4", "--tol", "1e-6",
@@ -260,6 +262,8 @@ def test_torus_checks_apply_their_tolerance(monkeypatch, tmp_path):
     assert by_name["torsion-residual"]["tolerance"] == 1e-6
     assert by_name["distance-to-flat"]["status"] == "fail"
     assert by_name["distance-to-flat"]["tolerance"] == 1e-8
+    assert by_name["gamma-invariance"]["status"] == "fail"
+    assert by_name["gamma-invariance"]["tolerance"] == 1e-12
 
 
 def test_all_concatenates_suite_checks(monkeypatch, tmp_path):

@@ -94,6 +94,34 @@ def test_b2_counts_the_invariant_two_forms(monkeypatch):
     assert sc["b2"] == 9 and sc["kernel_dimension"] == 21
 
 
+def test_singular_components_read_the_one_group(monkeypatch):
+    # generators, subgroups, components and orbit sizes all come from the
+    # list gamma_elements() returns: cut down to {1, alpha}, alpha's 16
+    # tori are 16 components, each its own orbit under the trivial group
+    small = [KM.TorusIsometry((1,) * 7, (0,) * 7), KM.ALPHA]
+    monkeypatch.setattr(KM, "gamma_elements", lambda: small)
+    sc = KM.singular_components()
+    assert sc["counts"] == {"a": 16}
+    assert sc["n_components"] == 16 and sc["orbit_size"] == 1
+    assert {name for name, _ in sc["components"]} == {"a"}
+    assert sc["disjoint"]
+
+
+def test_invariant_form_is_the_image_of_phi0():
+    # INVARIANT_PHI_TERMS is derived as L's image of forms.PHI0_TERMS; it
+    # is the arrangement the group was written for
+    assert KM.INVARIANT_PHI_TERMS == {
+        (4, 5, 6): 1.0, (2, 3, 6): 1.0, (0, 1, 6): 1.0, (1, 3, 5): 1.0,
+        (0, 2, 5): -1.0, (0, 3, 4): -1.0, (1, 2, 4): -1.0,
+    }
+    # L term by term: dx_i -> L_SIGNS[i] dx_{L_PERM[i]}, sorted with sign
+    image = {}
+    for idx, c in F.PHI0_TERMS.items():
+        sign, key = F.sort_index(KM.L_PERM[i] for i in idx)
+        image[key] = c * sign * np.prod([KM.L_SIGNS[i] for i in idx])
+    assert image == KM.INVARIANT_PHI_TERMS
+
+
 def test_group_closure_failure_raises(monkeypatch):
     # a real exception, not an assert that python -O strips
     monkeypatch.setattr(KM, "GAMMA", KM.ALPHA)

@@ -218,6 +218,9 @@ CACHED_CALLS = {
     "kummer._glue_slots": [()],
     "kummer._fiber_forms": [()],
     "torus.derivative_ops": [(4,)],
+    "torus._gamma_prime": [()],
+    "torus._component_signs": [(2,), (4,)],
+    "torus._orbit_tables": [(4,)],
     "torus.flat_t_matrix": [()],
     "torus.flat_p_matrix": [()],
 }
