@@ -14,7 +14,6 @@ from .forms import (
     cross_product,
     theta,
     theta_split,
-    pi1_project,
     pullback,
     phi0,
     star_phi0,
@@ -25,7 +24,7 @@ __all__ = [
     "Form", "Metric", "Vector",
     "wedge", "hodge_star", "interior_product", "inner_product",
     "metric_from_g2", "cross_product", "theta", "theta_split",
-    "pi1_project", "pullback", "phi0", "star_phi0", "PositivityError",
+    "pullback", "phi0", "star_phi0", "PositivityError",
 ]
 
 __version__ = "0.1.0"

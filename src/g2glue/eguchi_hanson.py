@@ -26,12 +26,12 @@ import numpy as np
 import sympy as sp
 from scipy.special import hyp2f1
 
-from .forms import Form, Metric, hodge_star, merge_sign
+from .forms import Form, Metric, hodge_star, sort_index
 
 __all__ = [
     "R", "K", "f_sym", "RadialForm",
     "hyperkaehler_triple", "harmonic_forms", "asd_triple",
-    "radial_distance", "radial_distance_many", "sphere_geometry",
+    "radial_distance_many", "sphere_geometry",
     "ale_decay_ratio", "scaling_pullback_check",
     "radial_derivative", "weighted_norm", "rescaling_invariance_check",
     "eh_metric_coefficients",
@@ -117,18 +117,6 @@ class RadialForm:
 
     __rmul__ = __mul__
 
-    def wedge(self, other: "RadialForm") -> "RadialForm":
-        if self.frame != other.frame:
-            raise ValueError("frame mismatch")
-        out = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                if set(ma) & set(mb):
-                    continue
-                mono = tuple(sorted(ma + mb))
-                out[mono] = out.get(mono, 0) + merge_sign(ma, mb) * ca * cb
-        return RadialForm(self.degree + other.degree, out, self.frame)
-
     # -- exterior derivative ----------------------------------------------
     def d(self) -> "RadialForm":
         """Termwise exterior derivative: d/dr on coefficients plus the
@@ -154,11 +142,10 @@ class RadialForm:
                     continue
                 pair = (j, kk) if j < kk else (kk, j)
                 pair_sign = 1 if j < kk else -1
-                new = tuple(sorted(rest + pair))
                 # (-1)^pos from Leibniz; the 2-form slides to the front for
                 # free, then sorts into the remaining 1-form labels
-                s = ((-1) ** pos) * sgn * pair_sign * merge_sign(pair, rest)
-                add(new, s * c)
+                merge, new = sort_index(pair + rest)
+                add(new, ((-1) ** pos) * sgn * pair_sign * merge * c)
         return RadialForm(self.degree + 1,
                           {m: _normal(c) for m, c in out.items()}, self.frame)
 
@@ -258,17 +245,6 @@ def eh_metric_coefficients(k_val, r):
 # radial distance and exceptional-sphere geometry
 # ----------------------------------------------------------------------
 
-def _check_radii(k: float, rs: np.ndarray):
-    if not k >= 0 or not np.all(np.isfinite(rs)) or np.any(rs < 0):
-        raise ValueError("need finite r >= 0 and k >= 0")
-
-
-def radial_distance(k: float, r: float) -> float:
-    """d_{g_(k)}(S^2, r) = int_0^r f_k(s)^-1 ds; radial_distance_many at
-    one radius."""
-    return float(radial_distance_many(k, np.asarray(r, dtype=float)))
-
-
 def radial_distance_many(k: float, rs: np.ndarray) -> np.ndarray:
     """d(r) = int_0^r (k + s^2)^(-1/4) ds at every radius of rs, in closed
     form: d = sqrt(r) sqrt(u) 2F1(1/4, 1/2; 3/2; -u^2) with u = r / sqrt(k),
@@ -281,7 +257,8 @@ def radial_distance_many(k: float, rs: np.ndarray) -> np.ndarray:
     relative where k << r^2, as its argument nears 1.)
     """
     rs = np.asarray(rs, dtype=float)
-    _check_radii(k, rs)
+    if not k >= 0 or not np.all(np.isfinite(rs)) or np.any(rs < 0):
+        raise ValueError("need finite r >= 0 and k >= 0")
     if k == 0.0:
         return 2.0 * np.sqrt(rs)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -292,31 +269,17 @@ def radial_distance_many(k: float, rs: np.ndarray) -> np.ndarray:
     return np.where(u > 1e150, 2.0 * np.sqrt(rs), near)
 
 
-def _so3_section(theta, phi):
-    """Rotation R_z(phi) R_y(theta) mapping e_z to the sphere point."""
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp_ = np.cos(phi), np.sin(phi)
-    ry = np.array([[ct, 0, st], [0, 1, 0], [-st, 0, ct]])
-    rz = np.array([[cp, -sp_, 0], [sp_, cp, 0], [0, 0, 1]])
-    return rz @ ry
-
-
-def _mc_coefficients(theta, phi, h=1e-6):
-    """so(3) coefficients of R^-1 dR along d/dtheta and d/dphi (unit-speed
-    rotation generators; the stabilizer direction is L_z)."""
-    Rm = _so3_section(theta, phi)
-    out = []
-    for dth, dph in ((h, 0.0), (0.0, h)):
-        Rp = _so3_section(theta + dth, phi + dph)
-        Rmn = _so3_section(theta - dth, phi - dph)
-        M = Rm.T @ (Rp - Rmn) / (2 * h)
-        out.append(np.array([M[2, 1], M[0, 2], M[1, 0]]))  # (Lx, Ly, Lz) parts
-    return out
-
-
-def sphere_geometry(k: float, n_theta: int = 64, n_phi: int = 64) -> dict:
+def sphere_geometry(k: float) -> dict:
     """Diameter and Riemannian volume of the exceptional sphere with the
-    induced metric f_k(0)^2 (eta^2 x eta^2 + eta^3 x eta^3).
+    bolt metric c2 eta^2 x eta^2 + c3 eta^3 x eta^3 of g_(k) at r = 0
+    (eh_metric_coefficients; eta^1 collapses there).
+
+    The sphere is parametrized by the section R_z(phi) R_y(theta) of
+    SO(3) -> S^2, which maps e_z to the sphere point; the eta^2 and eta^3
+    legs of d/dtheta and d/dphi are the L_x and L_y parts of R^-1 dR (L_z
+    is the stabilizer), by central differences at step 1e-6.  Both are
+    taken at once on a 64-node Gauss-Legendre (theta) by 64-point (phi)
+    grid for the volume, and on the meridian phi = 0.3 for the diameter.
 
     Exact scaling (diameter ~ k^{1/4}, volume ~ k^{1/2}) is asserted by the
     caller; the proportionality constants are reported next to the
@@ -325,30 +288,37 @@ def sphere_geometry(k: float, n_theta: int = 64, n_phi: int = 64) -> dict:
     """
     if k <= 0:
         raise ValueError("need k > 0")
-    fk0_sq = np.sqrt(k)       # f_k(0)^2 = k^(1/2)
+    c2, c3 = eh_metric_coefficients(k, 0.0)[2:]
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    thetas, wts = 0.5 * np.pi * (nodes + 1.0), wts * 0.5 * np.pi
+    # column 0 is the meridian, columns 1..64 the volume grid
+    th, ph = np.meshgrid(thetas, np.append(
+        0.3, np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)), indexing="ij")
 
-    # diameter: pole-to-pole meridian length (phi fixed)
-    thetas, wts = np.polynomial.legendre.leggauss(n_theta)
-    thetas = 0.5 * np.pi * (thetas + 1.0)
-    wts = wts * 0.5 * np.pi
-    speed = []
-    for th in thetas:
-        a_th, _ = _mc_coefficients(th, 0.3)
-        speed.append(np.sqrt(fk0_sq * (a_th[0] ** 2 + a_th[1] ** 2)))
-    diameter = float(np.dot(wts, speed))
+    def section(th, ph):
+        # R_z(ph) R_y(th): one product per entry
+        ct, st, cp, sp_ = np.cos(th), np.sin(th), np.cos(ph), np.sin(ph)
+        rows = [[cp * ct, -sp_, cp * st], [sp_ * ct, cp, sp_ * st],
+                [-st, np.zeros_like(th), ct]]
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
-    # volume: integrate sqrt(det) of the pulled-back metric
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    area = 0.0
-    for th, wt in zip(thetas, wts):
-        row = 0.0
-        for ph in phis:
-            a_th, a_ph = _mc_coefficients(th, ph)
-            g11 = fk0_sq * (a_th[0] ** 2 + a_th[1] ** 2)
-            g22 = fk0_sq * (a_ph[0] ** 2 + a_ph[1] ** 2)
-            g12 = fk0_sq * (a_th[0] * a_ph[0] + a_th[1] * a_ph[1])
-            row += np.sqrt(max(g11 * g22 - g12 ** 2, 0.0))
-        area += wt * row * (2.0 * np.pi / n_phi)
+    h = 1e-6
+    legs = []
+    for dth, dph in ((h, 0.0), (0.0, h)):
+        M = (np.swapaxes(section(th, ph), -1, -2)
+             @ (section(th + dth, ph + dph) - section(th - dth, ph - dph))
+             / (2 * h))
+        legs.append((M[..., 2, 1], M[..., 0, 2]))      # the L_x, L_y parts
+    (x_th, y_th), (x_ph, y_ph) = legs
+    g11 = c2 * (x_th * x_th) + c3 * (y_th * y_th)
+    g22 = c2 * (x_ph * x_ph) + c3 * (y_ph * y_ph)
+    g12 = c2 * (x_th * x_ph) + c3 * (y_th * y_ph)
+    diameter = float(np.dot(wts, np.sqrt(g11[:, 0])))
+    # summed in grid order, point after point (cumsum, not numpy's pairwise
+    # sum), so the bits are those of a loop over the grid
+    rows = np.cumsum(np.sqrt(np.maximum(
+        g11 * g22 - g12 ** 2, 0.0))[:, 1:], axis=1)[:, -1]
+    area = np.cumsum(wts * rows * (2.0 * np.pi / 64))[-1]
     return {
         "diameter": diameter,
         "volume": float(area),

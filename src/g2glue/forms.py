@@ -21,7 +21,7 @@ __all__ = [
     "Form", "Metric", "Vector", "PositivityError",
     "wedge", "hodge_star", "interior_product", "inner_product",
     "metric_from_g2", "cross_product", "theta", "theta_split",
-    "pi1_project", "pullback", "phi0", "star_phi0",
+    "pullback", "phi0", "star_phi0",
 ]
 
 
@@ -63,16 +63,6 @@ def sort_index(idx) -> tuple[int, tuple[int, ...]]:
               if idx[i] > idx[j])
     sign = -1 if inv % 2 else 1
     return sign, tuple(sorted(idx))
-
-
-def merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Sign of sorting the concatenation of two sorted disjoint tuples."""
-    inv = 0
-    for x in a:
-        for y in b:
-            if x > y:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 # ----------------------------------------------------------------------
@@ -296,16 +286,17 @@ class Vector:
 
 @lru_cache(maxsize=None)
 def _wedge_table(dim: int, p: int, q: int):
-    """(posA, posB, posOut, sign) quadruples for Λ^p x Λ^q -> Λ^{p+q}."""
+    """(posA, posB, posOut, sign) quadruples for Λ^p x Λ^q -> Λ^{p+q}:
+    e^A ^ e^B = sign e^Out, the one table of exterior-product signs.  Read
+    with its slots transposed, it is the interior product: for a 1-form
+    e^i, e^i ^ e^J = sign e^I gives e_i -| e^I = sign e^J."""
     out = []
     pos_out = index_position(dim, p + q)
     for pa, ia in enumerate(index_list(dim, p)):
-        sa = set(ia)
         for pb, ib in enumerate(index_list(dim, q)):
-            if sa & set(ib):
-                continue
-            sign = merge_sign(ia, ib)
-            out.append((pa, pb, pos_out[tuple(sorted(ia + ib))], sign))
+            sign, srt = sort_index(ia + ib)
+            if sign:
+                out.append((pa, pb, pos_out[srt], sign))
     return tuple(out)
 
 
@@ -322,21 +313,6 @@ def wedge(a: Form, b: Form) -> Form:
     return out
 
 
-@lru_cache(maxsize=None)
-def _interior_table(dim: int, p: int):
-    """(i, posIn, posOut, sign) for v -| a with a of degree p."""
-    out = []
-    pos_in = index_position(dim, p)
-    for po, jdx in enumerate(index_list(dim, p - 1)):
-        sj = set(jdx)
-        for i in range(dim):
-            if i in sj:
-                continue
-            sign, srt = sort_index((i,) + jdx)
-            out.append((i, pos_in[srt], po, sign))
-    return tuple(out)
-
-
 def interior_product(v: Vector, a: Form) -> Form:
     """Contraction v -| a; antiderivation of degree -1."""
     if v.dim != a.dim:
@@ -345,7 +321,7 @@ def interior_product(v: Vector, a: Form) -> Form:
         raise ValueError("interior product needs degree >= 1")
     batch = np.broadcast_shapes(a.batch_shape, v.components.shape[1:])
     out = Form.zero(a.dim, a.degree - 1, batch)
-    for i, pi, po, sign in _interior_table(a.dim, a.degree):
+    for i, po, pi, sign in _wedge_table(a.dim, 1, a.degree - 1):
         out.coeffs[po] += sign * v.components[i] * a.coeffs[pi]
     return out
 
@@ -431,7 +407,7 @@ def _complement(n: int, p: int):
     for J in index_list(n, n - p):
         I = tuple(sorted(set(range(n)) - set(J)))
         src.append(pos_in[I])
-        sign.append(merge_sign(I, J))
+        sign.append(sort_index(I + J)[0])
     return (_read_only(np.array(src, dtype=np.intp)),
             _read_only(np.array(sign, dtype=float)))
 
@@ -524,15 +500,16 @@ def _with_signs(c: np.ndarray) -> np.ndarray:
 def _bryant_gathers():
     """Signed gathers from the 35 slots of phi for B = A W A^T.
 
-    A[i, ab] = (e_i -| phi)_ab, a 7 x 21 matrix (the interior-product
-    table), and W[ab, cd] = +-phi_efg for disjoint slots ab, cd with efg
-    the complement of ab u cd (the 2 x 2 wedge table, then the complement
-    placement), so that alpha ^ beta ^ phi = alpha^T W beta for 2-forms.
+    A[i, ab] = (e_i -| phi)_ab, a 7 x 21 matrix (the 1 x 2 wedge table
+    read as the interior product), and W[ab, cd] = +-phi_efg for disjoint
+    slots ab, cd with efg the complement of ab u cd (the 2 x 2 wedge
+    table, then the complement placement), so that
+    alpha ^ beta ^ phi = alpha^T W beta for 2-forms.
     Each is returned as indices into [phi, -phi, 0] (_with_signs): slot
     k < 35 reads +phi_k, 35 + k reads -phi_k, and 70 an entry that is 0.
     """
     a = np.full((7, 21), 70, dtype=np.intp)
-    for i, pi, po, sign in _interior_table(7, 3):
+    for i, po, pi, sign in _wedge_table(7, 1, 2):
         a[i, po] = pi if sign > 0 else 35 + pi
     slot3, place = _complement(7, 3)            # 4-slot <- +-(3-slot)
     w = np.full((21, 21), 70, dtype=np.intp)
@@ -613,7 +590,7 @@ def _theta_gathers():
     - (g_ik g_jl - g_il g_jk) on the 35 sorted 4-slots i < j < k < l.
 
     phi_ijp = (e_p -| phi)_ij, so phi_ij. and phi_kl. are the columns (ij)
-    and (kl) of the interior-product table A of _bryant_gathers; each is
+    and (kl) of the interior-product matrix A of _bryant_gathers; each is
     a (35, 7) signed gather, as indices into [phi, -phi, 0]
     (_with_signs).  The third table holds the flat positions ik, jl, il
     and jk in the 49 entries of a metric, (4, 35)."""
@@ -711,9 +688,3 @@ def theta_split(phi: Form, chi: Form):
     psi = _theta_at(g, phi)
     T_chi = _theta_linear(g, phi, psi, chi)
     return T_chi, psi - T_chi - theta(phi + chi)
-
-
-def pi1_project(phi: Form, chi: Form) -> Form:
-    """Projection of a 3-form onto the line R*phi: (<chi,phi>_g / 7) phi."""
-    g, _ = metric_from_g2(phi)
-    return Form(7, 3, _pi1_coeff(g, _theta_at(g, phi), chi) * phi.coeffs)

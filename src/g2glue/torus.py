@@ -131,13 +131,13 @@ def _keep_hermitian_part(spec: np.ndarray, N: int) -> None:
     transform returns.
 
     On the planes of the last axis that are their own conjugates
-    (modes 0 and N/2), a half spectrum of a real field satisfies
-    X(-k) = conj X(k); irfftn reads only (X(k) + conj X(-k)) / 2 there,
-    and this keeps that part.  The symbol of d is odd in m and so
+    (modes 0 and N/2; N is even), a half spectrum of a real field
+    satisfies X(-k) = conj X(k); irfftn reads only (X(k) + conj X(-k)) / 2
+    there, and this keeps that part.  The symbol of d is odd in m and so
     breaks the symmetry at the Nyquist modes, where m(-k) = m(k).
     """
     axes = tuple(range(1, 7))
-    for k in [0, N // 2] if N % 2 == 0 else [0]:
+    for k in (0, N // 2):
         sub = spec[..., k]          # one plane at a time: small temporaries
         mirror = np.roll(np.flip(sub, axis=axes), 1, axis=axes)
         spec[..., k] = 0.5 * (sub + mirror.conj())
@@ -417,23 +417,20 @@ def _flat_split_F(chi: Form) -> Form:
 
     chi must be Gamma'-invariant, chi(g x) = g's component signs times
     chi(x).  F0 is then taken at one representative point per orbit
-    (_orbit_tables), one theta block of them at a time, and written to
-    each image g(rep) with g's 4-form component signs: g's linear part
-    fixes phi0 and lies in G2, Theta is G2-equivariant and T0 commutes
-    with it.  Theta raises PositivityError where phi0 + chi is not a
-    G2-structure at a representative; at every other point phi0 + chi is
-    the image of a representative's under that linear map, so it is
-    positive with it."""
+    (_orbit_tables), all of them in one theta call (which takes them
+    _THETA_BLOCK points at a time), and written to each image g(rep)
+    with g's 4-form component signs: g's linear part fixes phi0 and lies
+    in G2, Theta is G2-equivariant and T0 commutes with it.  Theta raises
+    PositivityError where phi0 + chi is not a G2-structure at a
+    representative; at every other point phi0 + chi is the image of a
+    representative's under that linear map, so it is positive with it."""
     images = _orbit_tables(chi.coeffs.shape[1])
     pts = chi.coeffs.reshape(35, -1)
     reps = pts[:, images[0]]
-    p0, star0 = phi0().coeffs[:, None], star_phi0().coeffs[:, None]
-    for lo in range(0, reps.shape[1], _THETA_BLOCK):
-        c = reps[:, lo:lo + _THETA_BLOCK]
-        t_c = flat_t_matrix() @ c
-        theta_c = theta(Form(7, 3, p0 + c)).coeffs
-        np.subtract(star0, t_c, out=c)
-        c -= theta_c
+    t_c = flat_t_matrix() @ reps
+    theta_c = theta(Form(7, 3, phi0().coeffs[:, None] + reps)).coeffs
+    np.subtract(star_phi0().coeffs[:, None], t_c, out=reps)
+    reps -= theta_c
     for sign, img in zip(_component_signs(4), images):
         pts[:, img] = sign[:, None] * reps
     return Form(7, 4, pts.reshape(chi.coeffs.shape))

@@ -149,12 +149,13 @@ def test_six_forms_linearly_independent():
 
 def test_radial_distance_flat():
     for r in (0.25, 4.0, 100.0):
-        assert np.isclose(EH.radial_distance(0.0, r), 2.0 * np.sqrt(r), rtol=1e-12)
+        assert np.isclose(EH.radial_distance_many(0.0, r), 2.0 * np.sqrt(r),
+                          rtol=1e-12)
 
 
 def test_radial_distance_small_r():
     # f_1(0) = 1, so distance ~ r near the bolt
-    assert np.isclose(EH.radial_distance(1.0, 1e-6), 1e-6, rtol=1e-4)
+    assert np.isclose(EH.radial_distance_many(1.0, 1e-6), 1e-6, rtol=1e-4)
 
 
 def test_radial_distance_monotone_and_asymptotic():
@@ -180,7 +181,7 @@ def test_radial_distance_many_rejects_bad_input(k, rs):
     with pytest.raises(ValueError):
         EH.radial_distance_many(k, np.array(rs))
     with pytest.raises(ValueError):
-        EH.radial_distance(k, rs[-1])
+        EH.radial_distance_many(k, rs[-1])
 
 
 def test_radial_distance_many_agrees_with_single_calls():
@@ -188,7 +189,7 @@ def test_radial_distance_many_agrees_with_single_calls():
     ds = EH.radial_distance_many(0.5, rs)
     assert ds[0, 1] == 0.0 and ds[0, 0] == ds[1, 1]
     for r, d in zip(rs.ravel(), ds.ravel()):
-        assert np.isclose(d, EH.radial_distance(0.5, r), rtol=1e-12)
+        assert np.isclose(d, EH.radial_distance_many(0.5, r), rtol=1e-12)
 
 
 def quad_radial_distance(k, r):
@@ -216,14 +217,77 @@ def test_radial_distance_matches_quadrature(k):
     assert np.all(np.isfinite(ds))
     ref = np.array([quad_radial_distance(k, r) for r in rs])
     assert np.abs(ds / ref - 1.0).max() <= 1e-12
-    assert EH.radial_distance(k, rs[5]) == ds[5]
+    assert EH.radial_distance_many(k, rs[5]) == ds[5]
 
 
 def test_sphere_scaling_exact():
-    g1 = EH.sphere_geometry(1.0, n_theta=32, n_phi=32)
-    g16 = EH.sphere_geometry(16.0, n_theta=32, n_phi=32)
+    g1 = EH.sphere_geometry(1.0)
+    g16 = EH.sphere_geometry(16.0)
     assert np.isclose(g16["volume"] / g1["volume"], 4.0, rtol=1e-10)
     assert np.isclose(g16["diameter"] / g1["diameter"], 2.0, rtol=1e-10)
+
+
+def loop_sphere_geometry(k):
+    """(diameter, volume) of the exceptional sphere, point by point over
+    the grid of sphere_geometry: the reference of its one array pass."""
+    _, _, c2, c3 = EH.eh_metric_coefficients(k, 0.0)
+
+    def section(th, ph):
+        ry = np.array([[np.cos(th), 0, np.sin(th)], [0, 1, 0],
+                       [-np.sin(th), 0, np.cos(th)]])
+        rz = np.array([[np.cos(ph), -np.sin(ph), 0],
+                       [np.sin(ph), np.cos(ph), 0], [0, 0, 1]])
+        return rz @ ry
+
+    def legs(th, ph, h=1e-6):
+        out = []
+        for dth, dph in ((h, 0.0), (0.0, h)):
+            M = section(th, ph).T @ (section(th + dth, ph + dph)
+                                     - section(th - dth, ph - dph)) / (2 * h)
+            out.append((M[2, 1], M[0, 2]))
+        return out
+
+    def g(u, v):
+        return c2 * (u[0] * v[0]) + c3 * (u[1] * v[1])
+
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    thetas, wts = 0.5 * np.pi * (nodes + 1.0), wts * 0.5 * np.pi
+    speed = []
+    for th in thetas:
+        a, _ = legs(th, 0.3)
+        speed.append(np.sqrt(g(a, a)))
+    diameter = float(np.dot(wts, speed))
+    area = 0.0
+    for th, wt in zip(thetas, wts):
+        row = 0.0
+        for ph in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
+            a, b = legs(th, ph)
+            row += np.sqrt(max(g(a, a) * g(b, b) - g(a, b) ** 2, 0.0))
+        area += wt * row * (2.0 * np.pi / 64)
+    return diameter, area
+
+
+@pytest.mark.parametrize("k", [1.0, 16.0, 0.37])
+def test_sphere_geometry_matches_the_pointwise_loop(k):
+    # the same arithmetic, point by point: equal to the bit
+    geo = EH.sphere_geometry(k)
+    assert (geo["diameter"], geo["volume"]) == loop_sphere_geometry(k)
+
+
+def test_sphere_metric_is_read_from_the_bolt(monkeypatch):
+    # the bolt metric c2 eta^2 x eta^2 + c3 eta^3 x eta^3 comes from
+    # eh_metric_coefficients at r = 0: with c2 and c3 scaled by 4 the
+    # volume constant scales by 4 and the diameter constant by 2, so the
+    # k^(1/2) law is measured, not written into the sphere geometry
+    before = EH.sphere_geometry(1.0)
+    coefficients = EH.eh_metric_coefficients
+    monkeypatch.setattr(EH, "eh_metric_coefficients", lambda k, r: (
+        coefficients(k, r) * np.array([1.0, 1.0, 4.0, 4.0])))
+    after = EH.sphere_geometry(1.0)
+    assert np.isclose(after["volume_constant"] / before["volume_constant"],
+                      4.0, rtol=1e-12)
+    assert np.isclose(after["diameter_constant"]
+                      / before["diameter_constant"], 2.0, rtol=1e-12)
 
 
 def test_sphere_constants_reported():

@@ -122,6 +122,32 @@ def test_invariant_form_is_the_image_of_phi0():
     assert image == KM.INVARIANT_PHI_TERMS
 
 
+# The glued chart's flat form is the third arrangement of phi0: in the
+# chart coframe (delta_1, delta_2, delta_3, dt, e1, e2, e3) it is D^* phi0
+# with D = diag(1, 1, 1, 1, -1, -1, 1),
+# delta_123 - delta_145 - delta_167 - delta_246 + delta_257 - delta_347
+# - delta_356.  Only this test states D.
+CHART_D = np.diag([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("t", [2e-3, 1e-3, 5e-4])
+def test_chart_plateaus_carry_the_image_of_phi0(t):
+    # on the inner plateau (s = zeta/8) the cutoff is 0 and the triple of
+    # g_(t^4) is the constant one in its orthonormal coframe, so phi_t is
+    # D^* phi0 to the bit; on the outer plateau (s = 0.75 zeta) it is the
+    # triple of g_(0) read in the coframe of g_(t^4), whose omega_1
+    # coefficients are c and 1/c with c = sqrt(1 + t^4 / r^2), so phi_t
+    # leaves D^* phi0 by t^4 / (2 r^2), up to a relative t^4 / (4 r^2)
+    flat = F.pullback(CHART_D, F.phi0()).coeffs
+    chart = KM.GluingChart(t)
+    inner, outer = chart.r_of_s(np.array([chart.zeta / 8, 0.75 * chart.zeta]))
+    phi, _ = KM.glued_structure(t, np.array([inner]))
+    assert np.array_equal(phi.coeffs[:, 0], flat)
+    phi, _ = KM.glued_structure(t, np.array([outer]))
+    deviation = np.abs(phi.coeffs[:, 0] - flat).max()
+    assert np.isclose(deviation, t ** 4 / (2.0 * outer ** 2), rtol=1e-5, atol=0)
+
+
 def test_group_closure_failure_raises(monkeypatch):
     # a real exception, not an assert that python -O strips
     monkeypatch.setattr(KM, "GAMMA", KM.ALPHA)

@@ -113,8 +113,8 @@ def test_no_lapack_factorizations_and_no_radial_quadrature():
     tree = ast.parse((PACKAGE / "eguchi_hanson.py").read_text())
     radial = [node for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef)
-              and node.name in ("radial_distance", "radial_distance_many")]
-    assert len(radial) == 2
+              and node.name == "radial_distance_many"]
+    assert len(radial) == 1
     found += [f"eguchi_hanson.py:{node.lineno}" for fn in radial
               for node in ast.walk(fn)
               if isinstance(node, ast.Name) and node.id == "quad"]
@@ -161,8 +161,7 @@ def test_one_linearization_of_theta():
 def test_one_weighted_norm():
     # eguchi_hanson.weighted_norm is the one weighted norm, with the one
     # weight w_t = t + d(r): the geometry layers take the radial distance
-    # only there and in the radial_distance wrapper, and draw no random
-    # pairs.  cli.suite_eh_decay keeps its own k ** 0.25 + d(r): through
+    # only there, and draw no random pairs.  cli.suite_eh_decay keeps its own k ** 0.25 + d(r): through
     # t = k ** 0.25 the distance would be taken at t ** 4, and
     # (1e-4 ** 0.25) ** 4 = 1.0000000000000002e-4 moves the bits of its
     # nu-decay-slope check
@@ -172,8 +171,8 @@ def test_one_weighted_norm():
         allowed = [range(node.lineno, node.end_lineno + 1)
                    for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)
-                   and node.name in ("weighted_norm", "radial_distance")]
-        assert len(allowed) == (2 if name == "eguchi_hanson.py" else 0)
+                   and node.name == "weighted_norm"]
+        assert len(allowed) == (1 if name == "eguchi_hanson.py" else 0)
         found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and (_called(node) == "default_rng"
@@ -203,13 +202,52 @@ def test_theta_of_an_eliminated_phi_takes_the_kernel():
     assert found == []
 
 
+# public names that nothing in the package, the bench or the demos reads,
+# each kept for its reason
+UNREAD_PUBLIC = {
+    "cone.kappa_feasible": "criterion 09 certifies it",
+    "torus.load_field": "the reader of the documented --dump format",
+    "kummer.INVARIANT_PHI_TERMS": "the Gamma-invariant flat form, L's image "
+                                  "of phi0; tests pin it, torus reads L_PERM",
+}
+
+
+def test_public_names_have_a_program_reader():
+    # every name in a module's __all__ is read, as a Name or an attribute,
+    # by the package, the bench or a demo; reads inside the name's own
+    # definition do not count, and __all__ and the re-exports of __init__
+    # are strings and import aliases, not reads
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(PACKAGE.glob("*.py")) + [
+        path for folder in ("bench", "demos")
+        for path in sorted((root / folder).glob("*.py"))
+        if not path.name.startswith("test_")]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    reads = [(path, node.lineno, getattr(node, "id", getattr(node, "attr", 0)))
+             for path, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"g2glue.{path.stem}")
+        if path.name == "__init__.py" or not hasattr(module, "__all__"):
+            continue
+        own = {node.name: range(node.lineno, node.end_lineno + 1)
+               for node in trees[path].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        unread |= {f"{path.stem}.{name}" for name in module.__all__
+                   if not any(read == name and not (
+                       where == path and line in own.get(name, ()))
+                              for where, line, read in reads)}
+    assert unread == set(UNREAD_PUBLIC)
+
+
 # arguments for every lru_cache'd function of the package; a cached
 # function missing here fails the sweep below
 CACHED_CALLS = {
     "forms.index_list": [(7, 3)],
     "forms.index_position": [(7, 3)],
     "forms._wedge_table": [(7, 2, 2)],
-    "forms._interior_table": [(7, 3)],
     "forms._contraction_plan": [(7, 3), (4, 2)],
     "forms._complement": [(7, 3), (7, 4)],
     "forms._bryant_gathers": [()],
@@ -293,11 +331,14 @@ def test_cached_tables_are_read_only():
     lambda: eh.f_sym(k=1),
     lambda: torus.derivative_ops(2).inv_laplacian(
         torus.SpectralField.zero(2, 2), project=True),
+    lambda: eh.sphere_geometry(1.0, n_theta=32),
+    lambda: eh.sphere_geometry(1.0, n_phi=32),
 ], ids=["critical_rates-n", "log_kernel_check-n", "log_kernel_check-link",
         "index_change-n", "index_change-link", "cone_laplacian_apply-n",
         "refined_gradient_table-gamma", "best_B-grid_denominator",
         "glued_structure-chart", "torsion_form-chart", "GluingChart-zeta",
-        "singular_components-b2", "f_sym-k", "inv_laplacian-project"])
+        "singular_components-b2", "f_sym-k", "inv_laplacian-project",
+        "sphere_geometry-n_theta", "sphere_geometry-n_phi"])
 def test_removed_parameters_raise(call):
     with pytest.raises(TypeError):
         call()
