@@ -161,8 +161,9 @@ def test_one_linearization_of_theta():
 def test_one_weighted_norm():
     # eguchi_hanson.weighted_norm is the one weighted norm, with the one
     # weight w_t = t + d(r): the geometry layers take the radial distance
-    # only there, and draw no random pairs.  cli.suite_eh_decay keeps its own k ** 0.25 + d(r): through
-    # t = k ** 0.25 the distance would be taken at t ** 4, and
+    # only there, and draw no random pairs.  cli.suite_eh_decay keeps its
+    # own k ** 0.25 + d(r): through t = k ** 0.25 the distance would be
+    # taken at t ** 4, and
     # (1e-4 ** 0.25) ** 4 = 1.0000000000000002e-4 moves the bits of its
     # nu-decay-slope check
     found = []
@@ -223,7 +224,8 @@ def test_public_names_have_a_program_reader():
         for path in sorted((root / folder).glob("*.py"))
         if not path.name.startswith("test_")]
     trees = {path: ast.parse(path.read_text()) for path in files}
-    reads = [(path, node.lineno, getattr(node, "id", getattr(node, "attr", 0)))
+    reads = [(node.id if isinstance(node, ast.Name) else node.attr,
+              path, node.lineno)
              for path, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))
              and isinstance(node.ctx, ast.Load)]
@@ -235,10 +237,11 @@ def test_public_names_have_a_program_reader():
         own = {node.name: range(node.lineno, node.end_lineno + 1)
                for node in trees[path].body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        unread |= {f"{path.stem}.{name}" for name in module.__all__
-                   if not any(read == name and not (
-                       where == path and line in own.get(name, ()))
-                              for where, line, read in reads)}
+        for name in module.__all__:
+            inside = own.get(name, range(0))
+            if not any(read == name and not (where == path and line in inside)
+                       for read, where, line in reads):
+                unread.add(f"{path.stem}.{name}")
     assert unread == set(UNREAD_PUBLIC)
 
 
