@@ -176,26 +176,19 @@ def suite_eh_verify(samples: int, seed: int) -> tuple[list, list]:
     checks.append(_passfail("d-tau-is-triple-difference",
                             (tau1.d() - (om[0] - flat1)).is_zero(),
                             anchor="ale-primitive"))
-    worst = {"nu-asd": 0.0, "triple-sd": 0.0, "hat-asd": 0.0}
-    for k in ks:
-        nf = nu.evaluate_onb(k, rs)
-        worst["nu-asd"] = max(worst["nu-asd"], float(np.abs(
-            eh.star_onb(nf).coeffs + nf.coeffs).max()))
-        for o in om:
-            f = o.evaluate_onb(k, rs)
-            worst["triple-sd"] = max(worst["triple-sd"], float(np.abs(
-                eh.star_onb(f).coeffs - f.coeffs).max()))
-        for o in omh:
-            f = o.evaluate_onb(k, rs)
-            worst["hat-asd"] = max(worst["hat-asd"], float(np.abs(
-                eh.star_onb(f).coeffs + f.coeffs).max()))
-    checks.append(_passfail("nu-anti-self-dual", worst["nu-asd"] <= 1e-10,
-                            worst["nu-asd"], 0.0, 1e-10, "nu-asd"))
-    checks.append(_passfail("triple-self-dual", worst["triple-sd"] <= 1e-10,
-                            worst["triple-sd"], 0.0, 1e-10, "triple-sd"))
-    checks.append(_passfail("hatted-anti-self-dual",
-                            worst["hat-asd"] <= 1e-10,
-                            worst["hat-asd"], 0.0, 1e-10, "hat-asd"))
+    # (name, forms, sign of * on them, anchor)
+    for name, forms, sign, anchor in (
+            ("nu-anti-self-dual", (nu,), -1, "nu-asd"),
+            ("triple-self-dual", om, 1, "triple-sd"),
+            ("hatted-anti-self-dual", omh, -1, "hat-asd")):
+        worst = 0.0
+        for k in ks:
+            for o in forms:
+                f = o.evaluate_onb(k, rs)
+                worst = max(worst, float(np.abs(
+                    eh.star_onb(f).coeffs - sign * f.coeffs).max()))
+        checks.append(_passfail(name, worst <= 1e-10, worst, 0.0, 1e-10,
+                                anchor))
     checks.append(_passfail("hatted-closed",
                             all(o.d().is_zero() for o in omh),
                             anchor="hat-closed"))

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import sympy as sp
+
+from .forms import _wedge_table, index_list, sort_index
 
 __all__ = [
     "SpectrumEntry", "LinkSpectrum", "so3_link", "s3_link",
@@ -311,6 +312,12 @@ def log_kernel_check(lam, p: int, pair: LinkPairData | None = None) -> bool:
     -j (2 lam + n - 1) must be nonzero so the descent kills gamma_j for
     j > 0.  A synthetic pair violating the harmonic-case identity makes
     the recursion fail to close and returns False.
+
+    Without a synthetic pair the check cannot fail on a rate that
+    critical_rates returns: under the case-(ii)/(iii) pair relations the
+    log^1 coefficients vanish identically in lam, so it returns False
+    only at 2 lam + n - 1 = 0, and no critical rate of degree 0..4 in
+    [-12, 10) lies there.
     """
     lam = Fraction(lam)
     rates = critical_rates(so3_link(), p, lam, lam + Fraction(1, 10**6)) \
@@ -338,8 +345,6 @@ def log_kernel_check(lam, p: int, pair: LinkPairData | None = None) -> bool:
         A, B = cone_laplacian_apply(lam, p, 1, pr)
         if A.get(1, Fraction(0)) != 0 or B.get(1, Fraction(0)) != 0:
             return False      # harmonic-case identity fails: cannot descend
-        if A.get(0, Fraction(0)) == 0 or B.get(0, Fraction(0)) == 0:
-            return False      # descent term degenerates
     return True
 
 
@@ -356,8 +361,6 @@ def index_change(p: int, lam1, lam2) -> int:
             raise ValueError(f"endpoint {endpoint} is a critical rate")
     total = 0
     for rate in critical_rates(link, p, lam1 + eps, lam2):
-        if not (lam1 < rate.rate < lam2):
-            continue
         if not log_kernel_check(rate.rate, p):
             raise RuntimeError("log terms spoil the kernel-dimension count "
                                f"at rate {rate.rate}")
@@ -376,13 +379,11 @@ _S = sum(x ** 2 for x in _X)
 def _two_form(coeffs: dict) -> dict:
     """Normalize a {(i,j): expr} 2-form dict (i < j)."""
     out = {}
-    for (i, j), c in coeffs.items():
-        c = sp.sympify(c)
-        if i == j:
-            raise ValueError("repeated index")
-        if i > j:
-            i, j, c = j, i, -c
-        out[(i, j)] = sp.expand(out.get((i, j), 0) + c)
+    for key, c in coeffs.items():
+        sign, ij = sort_index(key)
+        if sign == 0 or len(ij) != 2:
+            raise ValueError(f"{key} is not a pair of distinct indices")
+        out[ij] = sp.expand(out.get(ij, 0) + sign * sp.sympify(c))
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -405,33 +406,27 @@ def order_minus2_basis():
     return [{ij: c / _S for ij, c in w.items()} for w in sd + asd]
 
 
-def _interior_position(omega: dict) -> dict:
-    """mu = V -| omega for the position field V = sum x_i d/dx_i."""
-    # (V -| dx_i ^ dx_j) = x_i dx_j - x_j dx_i
-    mu = {}
-    for (i, j), c in omega.items():
-        mu[j] = sp.expand(mu.get(j, 0) + c * _X[i])
-        mu[i] = sp.expand(mu.get(i, 0) - c * _X[j])
-    return mu
-
-
 def decaying_pair_forms():
     """The order -4 harmonic combinations s^{-3} xi ^ mu - s^{-2} omega / 2
     (xi = sum x_i dx_i, mu = V -| omega), one per chirality: the Cartesian
     shape of the L^2 harmonic form of the family at k = 0 and its hatted
     analogue."""
     sd, asd = constant_two_forms()
+    pairs = index_list(_N, 2)
+    # dx_a ^ dx_b = sign dx_ab, so also d/dx_a -| dx_ab = sign dx_b
+    table = _wedge_table(_N, 1, 1)
     out = []
     for omega in (sd[0], asd[0]):
-        mu = _interior_position(omega)
+        mu = {}
+        for a, b, ab, sign in table:
+            if pairs[ab] in omega:
+                mu[b] = sp.expand(mu.get(b, 0)
+                                  + sign * _X[a] * omega[pairs[ab]])
         xi_mu = {}
-        for i in range(4):
-            for j, c in mu.items():
-                if i == j:
-                    continue
-                a, b, s = (i, j, 1) if i < j else (j, i, -1)
-                xi_mu[(a, b)] = sp.expand(xi_mu.get((a, b), 0)
-                                          + s * _X[i] * c)
+        for a, b, ab, sign in table:
+            if b in mu:
+                xi_mu[pairs[ab]] = sp.expand(xi_mu.get(pairs[ab], 0)
+                                             + sign * _X[a] * mu[b])
         cand = {}
         for ij in set(xi_mu) | set(omega):
             cand[ij] = sp.together(xi_mu.get(ij, 0) / _S ** 3
@@ -516,18 +511,22 @@ def harmonic_oracle_r4(candidate: dict):
             value = lap(*pt) / sum(v * v for v in pt) ** a
             residual = max(residual, abs(float(value)))
 
-    def w(i, j):    # omega_ij for any ordered pair, zero where absent
-        P, a = form.get((min(i, j), max(i, j)), (_ZERO, 0))
-        return (P if i < j else -P), a
+    slots = [form.get(ij, (_ZERO, 0)) for ij in index_list(_N, 2)]
 
-    # (d omega)_ijk = d_i omega_jk + d_j omega_ki + d_k omega_ij
-    closed = all(_combine([_diff(w(j, k), i), _diff(w(k, i), j),
-                           _diff(w(i, j), k)])[0].is_zero
-                 for i, j, k in combinations(range(4), 3))
-    # divergence, row by row: sum_j d_j omega_ij
-    coclosed = all(_combine([_diff(w(i, j), j) for j in range(4)
-                             if j != i])[0].is_zero
-                   for i in range(4))
+    def vanishes(q: int) -> bool:
+        """d omega (q = 3) or -delta omega (q = 1) is zero, tested one
+        output slot at a time: dx_a ^ dx_I = sign dx_J gives
+        (d omega)_J = sum sign d_a omega_I and (-delta omega)_I =
+        sum sign d_a omega_J."""
+        rows = {}
+        for a, lo, hi, sign in _wedge_table(_N, 1, min(2, q)):
+            i, o = (lo, hi) if q > 2 else (hi, lo)
+            rows.setdefault(o, []).append((a, i, sign))
+        return all(_combine([_diff((sign * slots[i][0], slots[i][1]), a)
+                             for a, i, sign in row])[0].is_zero
+                   for row in rows.values())
+
+    closed, coclosed = vanishes(3), vanishes(1)
     order, = orders
     return {"residual": residual, "order": order,
             "closed": closed, "coclosed": coclosed}

@@ -73,6 +73,7 @@ def _monomials(degree: int):
 
 # structure constants: d eta^i = sign * eta^j ^ eta^k, (i j k) cyclic
 FRAME_SIGN = {"left": 1, "right": -1}
+_CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -132,20 +133,15 @@ class RadialForm:
             # radial part
             if 0 not in mono:
                 add(tuple(sorted((0,) + mono)), sp.diff(c, R))
-            # structure part: d eta^i = sgn * eta^j ^ eta^k (cyclic)
+            # structure part: d eta^i = sgn * eta^j ^ eta^k (cyclic),
+            # written into eta^i's slot with (-1)^pos from Leibniz
             for pos, lab in enumerate(mono):
                 if lab == 0:
                     continue
-                j, kk = {1: (2, 3), 2: (3, 1), 3: (1, 2)}[lab]
-                rest = mono[:pos] + mono[pos + 1:]
-                if j in rest or kk in rest:
-                    continue
-                pair = (j, kk) if j < kk else (kk, j)
-                pair_sign = 1 if j < kk else -1
-                # (-1)^pos from Leibniz; the 2-form slides to the front for
-                # free, then sorts into the remaining 1-form labels
-                merge, new = sort_index(pair + rest)
-                add(new, ((-1) ** pos) * sgn * pair_sign * merge * c)
+                sign, new = sort_index(mono[:pos] + _CYCLIC[lab]
+                                       + mono[pos + 1:])
+                if sign:
+                    add(new, ((-1) ** pos) * sgn * sign * c)
         return RadialForm(self.degree + 1,
                           {m: _normal(c) for m, c in out.items()}, self.frame)
 

@@ -73,9 +73,9 @@ def sort_index(idx) -> tuple[int, tuple[int, ...]]:
 class Form:
     """Degree-p alternating tensor on an n-frame, n <= 7.
 
-    coeffs has shape (C(n,p), *batch).  Use Form.build / Form.zero /
-    Form.basis to construct; from_dict accepts unsorted index keys and
-    folds in the sign.
+    coeffs has shape (C(n,p), *batch).  Use Form.zero / Form.basis /
+    Form.from_dict to construct; from_dict accepts unsorted index keys
+    and folds in the sign.
     """
     dim: int
     degree: int

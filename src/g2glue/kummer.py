@@ -32,7 +32,7 @@ import numpy as np
 
 from .forms import (Form, PositivityError, _read_only, _theta_at, hodge_star,
                     index_list, index_position, inner_product, metric_from_g2,
-                    phi0, pullback, wedge)
+                    phi0, pullback, sort_index, wedge)
 
 __all__ = [
     "TorusIsometry", "ALPHA", "BETA", "GAMMA", "L_PERM", "L_SIGNS",
@@ -310,16 +310,20 @@ class GluingChart:
 def _glue_slots():
     """Where the fiber 2-form monomials e_ab (a < b, EH legs in slots
     3..6) land in the glued forms: delta_i ^ e_ab for i = 0, 1, 2 in the
-    3-forms, delta_jk ^ e_ab for (j, k) = (1, 2), (0, 2), (0, 1) in the
-    4-forms.  A 2-form commutes with every form, so each wedge with the
-    delta_i is a copy into these slots."""
+    3-forms, delta_j ^ delta_k ^ e_ab for (i, j, k) cyclic in the
+    4-forms, with the sign of delta_j ^ delta_k.  A 2-form commutes with
+    every form, so each wedge with the delta_i is a signed copy into
+    these slots."""
     pos3, pos4 = index_position(7, 3), index_position(7, 4)
     fiber = index_list(4, 2)
     phi = np.array([[pos3[(i, a + 3, b + 3)] for a, b in fiber]
                     for i in range(3)])
-    theta = np.array([[pos4[(j, k, a + 3, b + 3)] for a, b in fiber]
-                      for j, k in ((1, 2), (0, 2), (0, 1))])
-    return (pos3[(0, 1, 2)], _read_only(phi), _read_only(theta),
+    # delta_j ^ delta_k = sign delta_jk for (i, j, k) cyclic
+    signs, pairs = zip(*(sort_index(((i + 1) % 3, (i + 2) % 3))
+                         for i in range(3)))
+    theta = np.array([[pos4[jk + (a + 3, b + 3)] for a, b in fiber]
+                      for jk in pairs])
+    return (pos3[(0, 1, 2)], _read_only(phi), _read_only(theta), signs,
             pos4[(3, 4, 5, 6)])
 
 
@@ -365,7 +369,7 @@ def glued_structure(t: float, rs):
     if np.any(rs <= 0):
         raise ValueError("chart requires r > 0")
     om = _fiber_two_forms(chart, rs)
-    vol_slot, phi_slots, theta_slots, fiber_slot = _glue_slots()
+    vol_slot, phi_slots, theta_slots, signs, fiber_slot = _glue_slots()
 
     phi = np.zeros((35,) + rs.shape)
     phi[vol_slot] = 1.0
@@ -373,10 +377,7 @@ def glued_structure(t: float, rs):
     theta_t[fiber_slot] = 0.5 * wedge(om[0], om[0]).coeffs[0]
     for i in range(3):
         phi[phi_slots[i]] -= om[i].coeffs
-    # delta_3 ^ delta_1 = -delta_13, so omega_tilde_2 enters with a plus
-    theta_t[theta_slots[0]] -= om[0].coeffs
-    theta_t[theta_slots[1]] += om[1].coeffs
-    theta_t[theta_slots[2]] -= om[2].coeffs
+        theta_t[theta_slots[i]] -= signs[i] * om[i].coeffs
     return Form(7, 3, phi), Form(7, 4, theta_t)
 
 

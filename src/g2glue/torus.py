@@ -516,8 +516,8 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
     # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops,
     # which commute with Gamma', so sigma stays invariant); nested, so
     # that each spectrum is freed once read
-    sigma = ops.delta(ops.inv_laplacian(ops.d(ops.mean_zero(ops.band_limit(
-        to_spectral(raw), max(1, cfg.N // 4))))))
+    sigma = ops.delta(ops.inv_laplacian(ops.d(ops.band_limit(
+        to_spectral(raw), max(1, cfg.N // 4)))))
     del raw
     dsig = ops.d(sigma).to_grid()
     scale = float(np.abs(dsig.coeffs).max())

@@ -166,6 +166,26 @@ def test_constant_forms_harmonic():
         assert out["closed"] and out["coclosed"]
 
 
+# Euclidean Hodge star on R^4: *dx_I = sign dx_J with dx_I ^ dx_J = sign vol
+_STAR = {(0, 1): ((2, 3), 1), (0, 2): ((1, 3), -1), (0, 3): ((1, 2), 1),
+         (1, 2): ((0, 3), 1), (1, 3): ((0, 2), -1), (2, 3): ((0, 1), 1)}
+
+
+def test_oracle_tells_closed_from_coclosed():
+    # omega = d(x1 |x|^-2 dx2) is exact but not coclosed; its Hodge dual
+    # is coclosed but not closed
+    beta = C._X[0] / C._S
+    omega = {(a, 1): sp.diff(beta, C._X[a]) for a in (0, 2, 3)}
+    out = C.harmonic_oracle_r4(omega)
+    assert (out["closed"], out["coclosed"]) == (True, False)
+    star = {}
+    for ij, c in C._two_form(omega).items():
+        kl, sign = _STAR[ij]
+        star[kl] = sign * c
+    out = C.harmonic_oracle_r4(star)
+    assert (out["closed"], out["coclosed"]) == (False, True)
+
+
 def test_oracle_negative_control():
     out = C.harmonic_oracle_r4({(0, 1): C._S ** -2})
     assert out["residual"] > 0
