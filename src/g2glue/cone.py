@@ -512,6 +512,8 @@ def harmonic_oracle_r4(candidate: dict):
             residual = max(residual, abs(float(value)))
 
     slots = [form.get(ij, (_ZERO, 0)) for ij in index_list(_N, 2)]
+    # each slot negated once: sign * P would build a Poly from the int
+    signed = {1: slots, -1: [(-P, a) for P, a in slots]}
 
     def vanishes(q: int) -> bool:
         """d omega (q = 3) or -delta omega (q = 1) is zero, tested one
@@ -522,7 +524,7 @@ def harmonic_oracle_r4(candidate: dict):
         for a, lo, hi, sign in _wedge_table(_N, 1, min(2, q)):
             i, o = (lo, hi) if q > 2 else (hi, lo)
             rows.setdefault(o, []).append((a, i, sign))
-        return all(_combine([_diff((sign * slots[i][0], slots[i][1]), a)
+        return all(_combine([_diff(signed[sign][i], a)
                              for a, i, sign in row])[0].is_zero
                    for row in rows.values())
 

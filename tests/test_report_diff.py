@@ -31,11 +31,12 @@ def test_report_differences_name_their_fields():
 
 
 def test_values_compare_as_serialized():
-    # an int is not its float, a NaN is equal to a NaN, lists must match
-    # in length
+    # an int is not its float, a NaN is equal to a NaN, and lists are
+    # compared item by item and in length
     assert report_diff.json_diff(1, 1.0) == [".: 1 != 1.0"]
     assert report_diff.json_diff([float("nan")], [float("nan")]) == []
-    assert report_diff.json_diff([1, 2], [1]) == [".: [1, 2] != [1]"]
+    assert report_diff.json_diff([1, 2, 3], [1, 5]) == [
+        "[1]: 2 != 5", ".: 3 items != 2 items"]
 
 
 def test_runs_compare_exit_code_and_csv():

@@ -52,9 +52,12 @@ def json_diff(a, b, path: str = "") -> list[str]:
                 for line in json_diff(a.get(key, "<absent>"),
                                       b.get(key, "<absent>"),
                                       f"{path}.{key}")]
-    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [line for i, (x, y) in enumerate(zip(a, b))
-                for line in json_diff(x, y, f"{path}[{i}]")]
+    if isinstance(a, list) and isinstance(b, list):
+        lines = [line for i, (x, y) in enumerate(zip(a, b))
+                 for line in json_diff(x, y, f"{path}[{i}]")]
+        if len(a) != len(b):
+            lines.append(f"{path or '.'}: {len(a)} items != {len(b)} items")
+        return lines
     return [f"{path or '.'}: {a!r} != {b!r}"]
 
 
