@@ -318,7 +318,6 @@ def _glue_slots():
     fiber = index_list(4, 2)
     phi = np.array([[pos3[(i, a + 3, b + 3)] for a, b in fiber]
                     for i in range(3)])
-    # delta_j ^ delta_k = sign delta_jk for (i, j, k) cyclic
     signs, pairs = zip(*(sort_index(((i + 1) % 3, (i + 2) % 3))
                          for i in range(3)))
     theta = np.array([[pos4[jk + (a + 3, b + 3)] for a, b in fiber]

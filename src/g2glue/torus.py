@@ -514,8 +514,9 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
     raw = Form(7, 2, rng.normal(size=(21,) + (cfg.N,) * 7))
     _gamma_average(raw)
     # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops,
-    # which commute with Gamma', so sigma stays invariant); nested, so
-    # that each spectrum is freed once read
+    # which commute with Gamma', so sigma stays invariant) and drops the
+    # constant mode, which d multiplies by m = 0; nested, so that each
+    # spectrum is freed once read
     sigma = ops.delta(ops.inv_laplacian(ops.d(ops.band_limit(
         to_spectral(raw), max(1, cfg.N // 4)))))
     del raw
