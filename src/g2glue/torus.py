@@ -25,11 +25,22 @@ back F0.  At the fixed point *0[P0 chi - *0 F0] equals
 Theta(phi + d eta) - *0 phi0 identically, so the reported torsion
 residual vanishes with the iteration error, independent of grid effects.
 
+The Nyquist convention: N is even, and mode index N/2 stands for
+m = -N/2 = N/2 mod N, its own negative, so an odd symbol there could be
+flipped neither by conjugation nor by a reflection.  d and delta take
+the odd symbol 0 at index N/2 on every axis, and A and the Lap of A^+
+take m from that same symbol; so d, delta and A^+ commute exactly with
+Gamma' below and keep a real field's half spectrum that of a real field.
+The Laplacian's symbol is even and keeps m.
+
 The model is that of the orbifold T^7/Gamma: sigma is averaged over
 Gamma' = L^-1 Gamma L (kummer.gamma_elements() in the frame of phi0, by
 the signed permutation kummer.L_PERM), whose linear parts fix phi0.  So
-every iterate is Gamma'-invariant, and a step takes the pointwise split
-once per Gamma'-orbit of the grid.
+every iterate is exactly Gamma'-invariant, and a solve holds each
+spectrum at one mode per orbit of Gamma' x conjugation (2376 of the
+12288 half-spectrum modes at N = 4), takes the pointwise split once per
+Gamma'-orbit of the grid (2432 of 4^7 points), and has grid values one
+component at a time, inside _rfft and _irfft.
 
 Positivity is proved where a metric is eliminated, once per orbit and
 iterate: a step's Theta raises PositivityError where phi + d eta leaves
@@ -39,15 +50,17 @@ on eps.  The reported residual takes Theta at every grid point.
 A field has one representation at a time.  Grid values are a forms.Form
 whose batch shape is the (N,)*7 grid, so the pointwise G2 algebra (theta,
 the metric, hodge_star with g) takes them as they are; a SpectralField
-holds a half spectrum, on which the derivative operators act.
-to_spectral() and SpectralField.to_grid() convert between the two.
+holds a half spectrum, whole or at the mode-orbit representatives, on
+which the derivative operators act.  to_spectral() and
+SpectralField.to_grid() convert between the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -73,31 +86,58 @@ TWO_PI = 2.0 * np.pi
 # ----------------------------------------------------------------------
 
 _GRID_AXES = tuple(range(1, 8))
-_ZERO_MODE = (slice(None),) + (0,) * 7
 # a constant form's (ncomp,) coefficients, broadcast over the grid axes
 _CONST = (slice(None),) + (None,) * 7
 
 
-def _rfft(coeffs: np.ndarray) -> np.ndarray:
-    """Half spectrum over the seven grid axes of real (ncomp, N^7) values.
+def _half_shape(N: int) -> tuple[int, ...]:
+    """The mode axes of a half spectrum of the N^7 grid."""
+    return (N,) * 6 + (N // 2 + 1,)
+
+
+def _rfft(coeffs: np.ndarray, N: int, degree: int | None = None
+          ) -> np.ndarray:
+    """Half spectrum over the seven grid axes of real grid values.
+
+    coeffs (ncomp, N, ..., N) gives the whole half spectrum.  With the
+    degree of a Gamma'-invariant field, coeffs (ncomp, n_orbits) are its
+    values at the grid's orbit representatives (_orbit_tables), each
+    component is scattered to the grid before its transform, and the
+    result is its spectrum at the mode-orbit representatives
+    (_mode_orbits).
 
     _rfft and _irfft are the package's only Fourier transforms.  They run
     on one worker thread, as the BLAS calls do in a timed run, so that a
-    solve uses one core, and one component at a time into one output, so
-    that the transform's own work arrays are one component's size.
+    solve uses one core, and one component at a time, so that grid
+    values and the transform's own work arrays are one component's size.
     """
-    N = coeffs.shape[1]
-    out = np.empty(coeffs.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    orbits = degree is not None
+    reps = _mode_orbits(N).reps if orbits else None
+    out = np.empty((len(coeffs),) + (reps.shape if orbits else _half_shape(N)),
+                   dtype=complex)
     for i, comp in enumerate(coeffs):
-        out[i] = scipy.fft.rfftn(comp, workers=1)
+        if orbits:
+            comp = _on_grid(comp, _component_signs(degree)[:, i], N)
+        spec = scipy.fft.rfftn(comp.reshape((N,) * 7), workers=1)
+        out[i] = spec.reshape(-1)[reps] if orbits else spec
     return out
 
 
-def _irfft(spec: np.ndarray, N: int) -> np.ndarray:
-    """Real (ncomp, N^7) grid values of a half spectrum."""
-    out = np.empty((spec.shape[0],) + (N,) * 7)
+def _irfft(spec: np.ndarray, N: int, degree: int | None = None
+           ) -> np.ndarray:
+    """Real grid values of a half spectrum: (ncomp, N, ..., N) of the
+    whole half spectrum, or, with the degree of a Gamma'-invariant field
+    held at the mode-orbit representatives, (ncomp, n_orbits) at the
+    grid's orbit representatives, each component scattered to the whole
+    half spectrum before its transform."""
+    orbits = degree is not None
+    points = _orbit_tables(N)[0] if orbits else None
+    out = np.empty((len(spec),) + (points.shape if orbits else (N,) * 7))
     for i, comp in enumerate(spec):
-        out[i] = scipy.fft.irfftn(comp, s=(N,) * 7, workers=1)
+        if orbits:
+            comp = _at_modes(comp, _component_signs(degree)[:, i], N)
+        grid = scipy.fft.irfftn(comp, s=(N,) * 7, workers=1)
+        out[i] = grid.reshape(-1)[points] if orbits else grid
     return out
 
 
@@ -107,8 +147,8 @@ def _irfft(spec: np.ndarray, N: int) -> np.ndarray:
 
 def to_spectral(field: Form) -> "SpectralField":
     """Half spectrum of a field's grid values, coeffs (ncomp, N, ..., N)."""
-    return SpectralField(field.degree, _rfft(field.coeffs),
-                         field.coeffs.shape[1])
+    N = field.coeffs.shape[1]
+    return SpectralField(field.degree, _rfft(field.coeffs, N), N)
 
 
 def constant(form: Form, N: int) -> Form:
@@ -121,41 +161,35 @@ def constant(form: Form, N: int) -> Form:
 
 def _linf(field: SpectralField) -> float:
     """Largest absolute grid value over all components, each component
-    taken to the grid on its own: no grid values of the whole field."""
+    taken to the grid on its own: no grid values of the whole field.  A
+    field at the mode-orbit representatives is read at the grid's orbit
+    representatives, where |field| takes every value it takes."""
+    if field.on_orbits:
+        return float(np.abs(_irfft(field.spec, field.N, field.degree)).max())
     return max(float(np.abs(_irfft(comp[None], field.N)).max())
                for comp in field.spec)
-
-
-def _keep_hermitian_part(spec: np.ndarray, N: int) -> None:
-    """Make a half spectrum, in place, that of the real field its inverse
-    transform returns.
-
-    On the planes of the last axis that are their own conjugates
-    (modes 0 and N/2; N is even), a half spectrum of a real field
-    satisfies X(-k) = conj X(k); irfftn reads only (X(k) + conj X(-k)) / 2
-    there, and this keeps that part.  The symbol of d is odd in m and so
-    breaks the symmetry at the Nyquist modes, where m(-k) = m(k).
-    """
-    axes = tuple(range(1, 7))
-    for k in (0, N // 2):
-        sub = spec[..., k]          # one plane at a time: small temporaries
-        mirror = np.roll(np.flip(sub, axis=axes), 1, axis=axes)
-        spec[..., k] = 0.5 * (sub + mirror.conj())
 
 
 class SpectralField:
     """Degree-p form field on the N^7 periodic lattice by its half spectrum.
 
-    spec: complex array (ncomp, N, ..., N, N // 2 + 1), the rfftn of the
-    grid values over the seven grid axes.  The derivative operators act
-    here; to_grid() transforms back to grid values, a Form, once per call.
+    spec: complex array (ncomp,) + modes.  Either modes are the whole half
+    spectrum (N, ..., N, N // 2 + 1), the rfftn of the grid values over
+    the seven grid axes; or the field is Gamma'-invariant and modes are
+    (n_mode_orbits,), its spectrum at one mode per orbit of Gamma' and
+    conjugation (_mode_orbits), from which the rest of the half spectrum
+    follows.  The derivative operators act here; to_grid() transforms
+    back to grid values, a Form, once per call.
     """
 
     def __init__(self, degree: int, spec: np.ndarray, N: int):
         nc = len(index_list(7, degree))
-        if spec.shape != (nc,) + (N,) * 6 + (N // 2 + 1,):
+        if spec.shape[:1] != (nc,) or (
+                spec.shape[1:] != _half_shape(N)
+                and (spec.ndim != 2
+                     or spec.shape[1:] != _mode_orbits(N).reps.shape)):
             raise ValueError(f"expected the (ncomp={nc}) half spectrum of "
-                             f"an N = {N} grid")
+                             f"an N = {N} grid, whole or at its mode orbits")
         self.degree = degree
         self.spec = spec
         self.N = N
@@ -163,10 +197,18 @@ class SpectralField:
     @classmethod
     def zero(cls, degree: int, N: int) -> "SpectralField":
         nc = len(index_list(7, degree))
-        return cls(degree, np.zeros((nc,) + (N,) * 6 + (N // 2 + 1,),
-                                    dtype=complex), N)
+        return cls(degree, np.zeros((nc,) + _half_shape(N), dtype=complex),
+                   N)
+
+    @property
+    def on_orbits(self) -> bool:
+        """Whether spec holds the mode-orbit representatives only."""
+        return self.spec.ndim == 2
 
     def to_grid(self) -> Form:
+        if self.on_orbits:
+            pts = _irfft(self.spec, self.N, self.degree)
+            return Form(7, self.degree, _orbit_grid(pts, self.degree, self.N))
         return Form(7, self.degree, _irfft(self.spec, self.N))
 
     def __add__(self, other):
@@ -182,7 +224,7 @@ class SpectralField:
 
 
 # ----------------------------------------------------------------------
-# the group Gamma' on the grid
+# the group Gamma' on the grid and on the modes
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -209,31 +251,23 @@ def _component_signs(degree: int) -> np.ndarray:
     return _read_only(_gamma_prime()[0][:, idx].prod(axis=-1))
 
 
-def _at_image(comp: np.ndarray, signs, halves) -> np.ndarray:
-    """One component's grid values (N,)*7 at g x: index k reads
-    signs k + halves N/2 mod N, by np.flip (k -> N - 1 - k) and np.roll
-    per axis."""
-    N = comp.shape[0]
-    shifts = []
-    for ax, (s, h) in enumerate(zip(signs, halves)):
-        if s < 0:
-            comp = np.flip(comp, axis=ax)
-        shifts.append(int(s < 0) + h * (N // 2))
-    return np.roll(comp, shifts, axis=tuple(range(7)))
-
-
 def _gamma_average(field: Form) -> None:
     """Replace grid values, in place, by their mean over Gamma',
     (1/8) sum_g g* field: g* multiplies each component by its sign and
-    reads it at g x.  The linear parts are diagonal, so one component at
-    a time."""
-    signs, halves = _gamma_prime()
+    reads it at g x.  The mean is taken at each orbit representative from
+    its images in _orbit_tables, and written to the rest of its orbit with
+    g's signs; the linear parts are diagonal, so one component at a
+    time."""
+    N = field.coeffs.shape[1]
+    if not field.coeffs.flags.c_contiguous:
+        raise ValueError("the average is written over contiguous values")
+    images = _orbit_tables(N)
     eps = _component_signs(field.degree)
-    for i, comp in enumerate(field.coeffs):
-        acc = comp.copy()                   # element 0, the identity
-        for g in range(1, len(signs)):
-            acc += eps[g, i] * _at_image(comp, signs[g], halves[g])
-        comp[...] = acc / len(signs)
+    for comp, signs in zip(field.coeffs.reshape(eps.shape[1], -1), eps.T):
+        acc = comp[images[0]]               # element 0, the identity
+        for sign, img in zip(signs[1:], images[1:]):
+            acc += sign * comp[img]
+        _on_grid(acc / len(images), signs, N, out=comp)
 
 
 def _image_index(coords, signs, halves, N: int):
@@ -254,8 +288,9 @@ def _grid_map(N: int, signs, halves) -> np.ndarray:
 def _invariance_defect(field: Form) -> float:
     """max over g in Gamma' of ||g* field - field||_Linf / ||field||_Linf
     on the grid values (0 for the zero field).  The values at g x are
-    gathered by _grid_map, not by the np.flip/np.roll of _gamma_average,
-    so the check does not share the averaging's reading of the group."""
+    gathered by _grid_map, not through the cached orbit tables that the
+    average and the transforms read, so the check does not share their
+    reading of the group."""
     signs, halves = _gamma_prime()
     eps = _component_signs(field.degree)
     c = field.coeffs.reshape(eps.shape[1], -1)
@@ -288,29 +323,132 @@ def _orbit_tables(N: int) -> np.ndarray:
                                 for s, h in zip(signs, halves)]))
 
 
+def _on_grid(values: np.ndarray, signs, N: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """One component of a Gamma'-invariant field on the whole grid, flat
+    (N^7,), from its values at the orbit representatives: each image
+    g(rep) of _orbit_tables gets signs[g] times the value at rep."""
+    out = np.empty(N ** 7) if out is None else out
+    for sign, img in zip(signs, _orbit_tables(N)):
+        out[img] = sign * values
+    return out
+
+
+def _orbit_grid(values: np.ndarray, degree: int, N: int) -> np.ndarray:
+    """Grid values (ncomp, N, ..., N) of a Gamma'-invariant field from its
+    values (ncomp, n_orbits) at the orbit representatives."""
+    out = np.empty((len(values), N ** 7))
+    for comp, signs, row in zip(values, _component_signs(degree).T, out):
+        _on_grid(comp, signs, N, out=row)
+    return out.reshape((len(values),) + (N,) * 7)
+
+
+class _ModeOrbits(NamedTuple):
+    """One mode per orbit of Gamma' x conjugation on the half spectrum.
+
+    Element g multiplies a mode m by signs[g] and, by its shift, the
+    coefficient by (-1)^(m . halves[g]); conjugation maps m to -m, which
+    a real field's spectrum reads as the conjugate.  So an invariant real
+    field's coefficient of component I at the half-spectrum mode j is
+    (sign of I under elem[j]) * phase[j] * v, v its coefficient at the
+    representative of j's orbit, conjugated where conj[j].  N is even,
+    so m . halves has the parity of the mode index's and the rule holds
+    on the grid."""
+    # (n_mode_orbits,) flat half-spectrum indices, ascending
+    reps: np.ndarray
+    # per half-spectrum mode j, flat: the position in reps of its orbit,
+    # the element g and whether conjugation joins it in mapping the
+    # representative to j, and (-1)^(k . halves[g]), k the index of j
+    src: np.ndarray
+    elem: np.ndarray
+    conj: np.ndarray
+    phase: np.ndarray
+    # the operators on the representatives
+    ops: "SpectralOps"
+
+
+@lru_cache(maxsize=None)
+def _mode_orbits(N: int) -> _ModeOrbits:
+    """The mode orbits of the N^7 half spectrum.  A mode's representative
+    is the least flat index among its images under Gamma' x conjugation
+    that lie in the half spectrum.  Built one element's map of the modes
+    at a time."""
+    signs, halves = _gamma_prime()
+    shape = _half_shape(N)
+    size = int(np.prod(shape))
+    coords = [np.arange(n).reshape((-1,) + (1,) * (6 - a))
+              for a, n in enumerate(shape)]
+    least = np.arange(size).reshape(shape)
+    elem = np.zeros(shape, dtype=np.int8)
+    conj = np.zeros(shape, dtype=bool)
+    for g, s in enumerate(signs):
+        for c in (1, -1):
+            img = [(c * s_a * k) % N for s_a, k in zip(s, coords)]
+            flat = 0
+            for k, n in zip(img, shape):
+                flat = flat * n + k
+            # an image past the last axis's N/2 lies outside the half
+            flat = np.where(img[6] < shape[6], flat, size)
+            less = flat < least
+            least[less], elem[less], conj[less] = flat[less], g, c < 0
+    least = least.ravel()
+    reps = np.flatnonzero(least == np.arange(size))
+    parity = sum(k * halves[elem, a] for a, k in enumerate(coords)) % 2
+    return _ModeOrbits(
+        _read_only(reps), _read_only(np.searchsorted(reps, least)),
+        _read_only(elem.ravel()), _read_only(conj.ravel()),
+        _read_only((1 - 2 * parity).astype(np.int8).ravel()),
+        SpectralOps(N, np.unravel_index(reps, shape)))
+
+
+def _at_modes(values: np.ndarray, signs, N: int) -> np.ndarray:
+    """One component of a Gamma'-invariant field on the whole half
+    spectrum from its values at the mode-orbit representatives, by the
+    rule of _ModeOrbits; signs[g] is the component's sign under g."""
+    orbits = _mode_orbits(N)
+    out = values[orbits.src]
+    np.conjugate(out, out=out, where=orbits.conj)
+    out *= signs[orbits.elem] * orbits.phase
+    return out.reshape(_half_shape(N))
+
+
 # ----------------------------------------------------------------------
 # spectral derivative operators
 # ----------------------------------------------------------------------
 
 class SpectralOps:
-    """Fourier-diagonal d, d*, Laplacian and inverse on half spectra of
-    the N^7 grid."""
+    """Fourier-diagonal d, d*, Laplacian and inverse on the spectra of a
+    set of modes of the N^7 grid: the whole half spectrum
+    (derivative_ops) or the mode-orbit representatives (_mode_orbits).
 
-    def __init__(self, N: int):
+    The odd symbol of d and d* is 0 at mode index N/2 on every axis: that
+    mode, -N/2 = N/2 mod N, is its own negative, so an odd symbol there
+    could not be flipped by Gamma' or by conjugation.  With it 0, d, d*
+    and A^+ commute exactly with Gamma' and keep a real field's spectrum
+    real.  The Laplacian's symbol 4 pi^2 |m|^2 is even and keeps m."""
+
+    def __init__(self, N: int, index):
+        """index: the mode index along each of the 7 axes, integer arrays
+        that broadcast to the mode set's shape."""
         self.N = N
-        ms = [np.fft.fftfreq(N) * N for _ in range(7)]
-        ms[6] = np.fft.rfftfreq(N) * N
-        # shaped to broadcast over the 7 grid axes (component axis
-        # excluded); read-only, as derivative_ops shares one instance per N
-        self.m = tuple(
-            _read_only(m.reshape((1,) * ax + (-1,) + (1,) * (6 - ax)))
-            for ax, m in enumerate(ms))
-        self.m2 = _read_only(sum((m ** 2 for m in self.m),
-                                 start=np.zeros((1,) * 7)))
-        # the Laplacian symbol 4 pi^2 |m|^2, set to 1 at the zero mode so
-        # that dividing by it leaves that mode as it is
-        lap = TWO_PI ** 2 * self.m2
+        # the signed modes of the index, -N/2 at N/2; read-only, as one
+        # instance per N and mode set is shared
+        ms = [(k + N // 2) % N - N // 2 for k in index]
+        self.m = tuple(_read_only(np.where(np.abs(m) == N // 2, 0.0, m))
+                       for m in ms)
+        lap = TWO_PI ** 2 * sum(m.astype(float) ** 2 for m in ms)
+        self.lap = _read_only(lap)
+        # set to 1 where the symbol is 0, so that dividing by it leaves
+        # that mode as it is
         self.lap_nonzero = _read_only(np.where(lap == 0.0, 1.0, lap))
+        # A^+ = Lap^-2 A with the Laplacian of the odd symbol, whose A is
+        # -Lap times a projector
+        lap_odd = TWO_PI ** 2 * sum(m ** 2 for m in self.m)
+        self.pinv_denominator = _read_only(
+            np.where(lap_odd == 0.0, 1.0, lap_odd) ** 2)
+        self.mode_max = _read_only(reduce(np.maximum, map(np.abs, ms)))
+        # the zero mode is the first of both mode sets
+        self.zero_mode = (slice(None),) + (0,) * lap.ndim
 
     def _m_action(self, spec: np.ndarray, p: int, q: int, factor):
         """factor (m ^ .) for q = p + 1, or its transpose (m -| .) for
@@ -336,8 +474,7 @@ class SpectralOps:
         return SpectralField(p - 1, out, self.N)
 
     def laplacian(self, field: SpectralField) -> SpectralField:
-        spec = field.spec * (TWO_PI ** 2 * self.m2)
-        return SpectralField(field.degree, spec, self.N)
+        return SpectralField(field.degree, field.spec * self.lap, self.N)
 
     def inv_laplacian(self, field: SpectralField) -> SpectralField:
         """Invert the Hodge Laplacian on the mean-zero complement.
@@ -346,24 +483,23 @@ class SpectralOps:
         discrete analogue of working orthogonal to the reference kernel).
         """
         spec = field.spec / self.lap_nonzero
-        spec[_ZERO_MODE] = 0.0
+        spec[self.zero_mode] = 0.0
         return SpectralField(field.degree, spec, self.N)
 
     def band_limit(self, field: SpectralField, max_mode: int) -> SpectralField:
-        mask = np.ones(field.spec.shape[1:], dtype=bool)
-        for m in self.m:
-            mask &= (np.abs(m) <= max_mode)
-        return SpectralField(field.degree, field.spec * mask, self.N)
+        return SpectralField(field.degree,
+                             field.spec * (self.mode_max <= max_mode), self.N)
 
     def mean_zero(self, field: SpectralField) -> SpectralField:
         spec = field.spec.copy()
-        spec[_ZERO_MODE] = 0.0
+        spec[self.zero_mode] = 0.0
         return SpectralField(field.degree, spec, self.N)
 
 
 @lru_cache(maxsize=None)
 def derivative_ops(N: int) -> SpectralOps:
-    return SpectralOps(N)
+    return SpectralOps(N, [np.arange(n).reshape((-1,) + (1,) * (6 - a))
+                           for a, n in enumerate(_half_shape(N))])
 
 
 # ----------------------------------------------------------------------
@@ -398,42 +534,38 @@ def _apply_symbol(ops: SpectralOps, spec: np.ndarray) -> np.ndarray:
     4 pi^2 (m -|) P0 (m ^), mode by mode and never assembled.  Its kernel
     holds the d-closed directions and the diffeomorphism gauge modes."""
     dx = ops._m_action(spec, 2, 3, 1.0)
-    for k in range(ops.N):      # P0 in place, one slab of modes at a time
-        dx[:, k] = np.tensordot(flat_p_matrix(), dx[:, k], axes=1)
+    flat = dx.reshape(len(dx), -1)      # a view: dx is new and contiguous
+    step = -(-flat.shape[1] // ops.N)
+    for lo in range(0, flat.shape[1], step):   # P0 in place, N slabs
+        flat[:, lo:lo + step] = flat_p_matrix() @ flat[:, lo:lo + step]
     return ops._m_action(dx, 3, 2, TWO_PI ** 2)
 
 
-def _apply_symbol_pinv(N: int, field: SpectralField) -> SpectralField:
-    """A^+ = Lap^-2 A, mode by mode; 0 on the zero mode."""
-    ops = derivative_ops(N)
+def _apply_symbol_pinv(ops: SpectralOps, field: SpectralField
+                       ) -> SpectralField:
+    """A^+ = Lap^-2 A, mode by mode; 0 where the odd symbol is."""
     spec = _apply_symbol(ops, field.spec)
-    spec /= ops.lap_nonzero ** 2
-    return SpectralField(2, spec, N)
+    spec /= ops.pinv_denominator
+    return SpectralField(2, spec, field.N)
 
 
-def _flat_split_F(chi: Form) -> Form:
-    """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi), a 4-form field,
-    written over the grid values of chi, which the caller hands over.
+def _flat_split_F(chi: np.ndarray) -> np.ndarray:
+    """F0(chi) = *0 phi0 - T0 chi - Theta(phi0 + chi) of a Gamma'-invariant
+    chi, at the grid's orbit representatives (_orbit_tables), written over
+    chi's values there (35, n_orbits), which the caller hands over.
 
-    chi must be Gamma'-invariant, chi(g x) = g's component signs times
-    chi(x).  F0 is then taken at one representative point per orbit
-    (_orbit_tables), all of them in one theta call (which takes them
-    _THETA_BLOCK points at a time), and written to each image g(rep)
-    with g's 4-form component signs: g's linear part fixes phi0 and lies
+    All representatives go to one theta call (which takes them
+    _THETA_BLOCK points at a time).  At an image g(rep), F0 is g's 4-form
+    component signs times F0 at rep: g's linear part fixes phi0 and lies
     in G2, Theta is G2-equivariant and T0 commutes with it.  Theta raises
     PositivityError where phi0 + chi is not a G2-structure at a
     representative; at every other point phi0 + chi is the image of a
     representative's under that linear map, so it is positive with it."""
-    images = _orbit_tables(chi.coeffs.shape[1])
-    pts = chi.coeffs.reshape(35, -1)
-    reps = pts[:, images[0]]
-    t_c = flat_t_matrix() @ reps
-    theta_c = theta(Form(7, 3, phi0().coeffs[:, None] + reps)).coeffs
-    np.subtract(star_phi0().coeffs[:, None], t_c, out=reps)
-    reps -= theta_c
-    for sign, img in zip(_component_signs(4), images):
-        pts[:, img] = sign[:, None] * reps
-    return Form(7, 4, pts.reshape(chi.coeffs.shape))
+    t_c = flat_t_matrix() @ chi
+    theta_c = theta(Form(7, 3, phi0().coeffs[:, None] + chi)).coeffs
+    np.subtract(star_phi0().coeffs[:, None], t_c, out=chi)
+    chi -= theta_c
+    return chi
 
 
 # ----------------------------------------------------------------------
@@ -464,12 +596,12 @@ class SolverConfig:
 
 
 # Peak RSS of a solve per grid point: the slope of ru_maxrss between an
-# N = 4 and an N = 6 solve in fresh processes, 1282 B, with a quarter on
-# top for allocator slack; re-measured with the orbit reduction at 1300 B,
-# against 1303 B without it on the same box.  solve holds no grid-sized
-# phi, psi, metric or 4-form; its peak is in the spectral chains of
-# _model_sigma and a step.
-_PEAK_BYTES_PER_POINT = 1600
+# N = 4 and an N = 6 solve in fresh processes (138.9 and 436.8 MiB with
+# the spectra held by mode orbit, one BLAS thread), 1185 B, with a
+# quarter on top for allocator slack.  solve holds no grid-sized phi,
+# psi, metric or 4-form, and no whole half spectrum between transforms;
+# its peak is in the full-grid Theta and d of the reported residual.
+_PEAK_BYTES_PER_POINT = 1500
 
 
 class GridTooLargeError(MemoryError):
@@ -491,11 +623,18 @@ def _mem_available() -> int | None:
 _EPS_TOO_LARGE = "eps too large: phi leaves the G2 cone on the grid"
 
 
-def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
-    """sigma and the grid values of d sigma for the model problem, scaled
-    so that ||d sigma||_Linf = 1, after the memory refusal.  sigma is the
-    coexact band-limited part of a random draw averaged over Gamma', so
-    sigma, phi and every iterate of a solve are Gamma'-invariant.
+def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, np.ndarray,
+                                               float]:
+    """sigma for the model problem at the mode-orbit representatives, the
+    values of d sigma (35, n_orbits) at the grid's orbit representatives,
+    scaled so that ||d sigma||_Linf = 1, and the invariance defect of the
+    averaged draw, after the memory refusal.  sigma is the coexact
+    band-limited part of a random draw averaged over Gamma', so sigma,
+    phi and every iterate of a solve are Gamma'-invariant.
+
+    The draw is transformed from its values at the orbit representatives,
+    which would make a broken average invariant unseen: so its defect is
+    measured on its grid values first, for the report of a solve.
 
     Nothing here proves phi = phi0 + eps d sigma positive: the first
     elimination of phi's metric does, in make_model_problem or in the
@@ -505,34 +644,35 @@ def _model_sigma(cfg: SolverConfig) -> tuple[SpectralField, Form]:
         raise GridTooLargeError(
             f"N = {cfg.N} needs about {need / 2 ** 30:.1f} GiB, "
             f"{avail / 2 ** 30:.1f} GiB available")
-    ops = derivative_ops(cfg.N)
-    # the steps' cached orbit tables, built before any grid-sized array:
-    # built inside the first step, the long-lived table held heap pages
-    # there and raised the peak RSS (3 MB at N = 4)
-    _orbit_tables(cfg.N)
+    # the cached orbit tables, built before any grid-sized array: built
+    # inside the first step, the long-lived table held heap pages there
+    # and raised the peak RSS (3 MB at N = 4)
+    points = _orbit_tables(cfg.N)[0]
+    ops = _mode_orbits(cfg.N).ops
     rng = np.random.default_rng(cfg.seed)
     raw = Form(7, 2, rng.normal(size=(21,) + (cfg.N,) * 7))
     _gamma_average(raw)
+    defect = _invariance_defect(raw)
+    raw = raw.coeffs.reshape(21, -1)[:, points]
     # coexact part: delta Lap^-1 d keeps the band limit (diagonal ops,
     # which commute with Gamma', so sigma stays invariant) and drops the
-    # constant mode, which d multiplies by m = 0; nested, so that each
-    # spectrum is freed once read
+    # constant mode, which d multiplies by m = 0
     sigma = ops.delta(ops.inv_laplacian(ops.d(ops.band_limit(
-        to_spectral(raw), max(1, cfg.N // 4)))))
-    del raw
-    dsig = ops.d(sigma).to_grid()
-    scale = float(np.abs(dsig.coeffs).max())
+        SpectralField(2, _rfft(raw, cfg.N, 2), cfg.N), max(1, cfg.N // 4)))))
+    dsig = _irfft(ops.d(sigma).spec, cfg.N, 3)
+    scale = float(np.abs(dsig).max())
     if scale == 0.0:
         raise RuntimeError("degenerate random draw")
     sigma.spec *= 1.0 / scale
-    dsig.coeffs[:] *= 1.0 / scale
-    return sigma, dsig
+    dsig *= 1.0 / scale
+    return sigma, dsig, defect
 
 
 def make_model_problem(cfg: SolverConfig):
     """phi = phi0 + eps d sigma for a random Gamma'-invariant band-limited
     coexact 2-form sigma with || d sigma ||_Linf = 1, and the torsion
-    bookkeeping 3-form psi with *psi = Theta(phi) - *0 phi0.
+    bookkeeping 3-form psi with *psi = Theta(phi) - *0 phi0; sigma is
+    held at the mode-orbit representatives.
 
     Refuses a grid that cannot fit in memory before allocating it, and
     raises PositivityError where phi is not a G2-structure at some grid
@@ -541,9 +681,11 @@ def make_model_problem(cfg: SolverConfig):
     dimension 7 and *0 phi0 is constant, so d *psi = d Theta(phi).
     solve() builds no psi and iterates on sigma from _model_sigma.
     """
-    sigma, phi = _model_sigma(cfg)
-    # phi in place in the grid values of d sigma; psi one theta block at a
-    # time, within the peak the refusal estimates
+    sigma, dsig, _ = _model_sigma(cfg)
+    # phi in place in the grid values of d sigma, written from its values
+    # at the orbit representatives; psi one theta block at a time, within
+    # the peak the refusal estimates
+    phi = Form(7, 3, _orbit_grid(dsig, 3, cfg.N))
     phi.coeffs[:] *= cfg.eps
     phi.coeffs[:] += phi0().coeffs[_CONST]
     pts = phi.coeffs.reshape(35, -1)
@@ -564,29 +706,28 @@ def make_model_problem(cfg: SolverConfig):
 # iteration
 # ----------------------------------------------------------------------
 
-def picard_step(pot: SpectralField, eta: SpectralField) -> SpectralField:
-    """One update of the correction 2-form, from and to its half spectrum.
+def picard_step(pot: SpectralField, chi: np.ndarray) -> SpectralField:
+    """One update of the correction 2-form eta, at the mode-orbit
+    representatives.
 
     pot is the model potential, phi = phi0 + d pot: eps sigma for the
     output of make_model_problem, so no step recomputes
-    delta Lap^-1 (phi - phi0).  The step solves the exact rearrangement
-    A(eta + pot) = delta0(*0 F0(chi)) with chi = d(pot + eta), using the
-    mode-wise pseudo-inverse Lap^-2 A of A = delta0 P0 d.  Its Theta is the
-    one metric elimination of phi + d eta: PositivityError where that
-    leaves the G2 cone.
+    delta Lap^-1 (phi - phi0).  chi = d(pot + eta) for the current eta,
+    as its values at the grid's orbit representatives, which the caller
+    hands over and F0 overwrites.  The step solves the exact
+    rearrangement A(eta + pot) = delta0(*0 F0(chi)), using the mode-wise
+    pseudo-inverse Lap^-2 A of A = delta0 P0 d.  Its Theta is the one
+    metric elimination of phi + d eta: PositivityError where that leaves
+    the G2 cone.
     """
     N = pot.N
-    ops = derivative_ops(N)
-    # nested calls, so that chi (which F overwrites) and *0 F are each
-    # freed once read
-    sol = _apply_symbol_pinv(N, ops.delta(_star0(
-        to_spectral(_flat_split_F(ops.d(pot + eta).to_grid())))))
-    # A acted on eta + pot; peel the model part off, drop the mean and keep
-    # the iterate the spectrum of the real field it stands for, all in
+    ops = _mode_orbits(N).ops
+    sol = _apply_symbol_pinv(ops, ops.delta(_star0(
+        SpectralField(4, _rfft(_flat_split_F(chi), N, 4), N))))
+    # A acted on eta + pot; peel the model part off and drop the mean, in
     # place, as sol is this step's own
     sol.spec -= pot.spec
-    sol.spec[_ZERO_MODE] = 0.0
-    _keep_hermitian_part(sol.spec, N)
+    sol.spec[ops.zero_mode] = 0.0
     return sol
 
 
@@ -609,27 +750,32 @@ def solve(cfg: SolverConfig):
     """Run the iteration to the torsion-free structure; returns
     (eta, report), eta as grid values.  On the flat torus the target is
     phi0 itself, so the report carries both the torsion residual and the
-    distance to phi0, and the invariance defect of eta under Gamma'.
+    distance to phi0, and the invariance defect under Gamma': the larger
+    of the averaged draw's and eta's.
 
     The model problem enters as its potential eps sigma, after the memory
     refusal of make_model_problem; psi is never built, and phi + d eta is
     phi0 + d(eps sigma + eta).  That is closed by construction, so the
     reported residual is ||d Theta(phi + d eta)||_Linf, the torsion half
-    of residual().
+    of residual().  Between transforms, every spectrum is held at the
+    mode-orbit representatives.
 
     Each iterate's metric is eliminated once.  Iterate 0 is phi itself,
     so the first Theta is phi's positivity gate and raises
     PositivityError("eps too large"), as make_model_problem does.  A
     later iterate outside the cone raises RuntimeError."""
-    ops = derivative_ops(cfg.N)
-    pot = _model_sigma(cfg)[0]  # the grid values of d sigma are freed here
+    pot, chi, draw_defect = _model_sigma(cfg)
     pot.spec *= cfg.eps         # sigma, in place, becomes the potential
-    eta = SpectralField.zero(2, cfg.N)
+    chi *= cfg.eps              # and d sigma the first step's chi
+    ops = _mode_orbits(cfg.N).ops
+    eta = SpectralField(2, np.zeros_like(pot.spec), cfg.N)
     diffs = []
     iterations = 0
     for j in range(cfg.max_iter):
+        if j > 0:
+            chi = _irfft(ops.d(pot + eta).spec, cfg.N, 3)
         try:
-            new_eta = picard_step(pot, eta)
+            new_eta = picard_step(pot, chi)
         except PositivityError as exc:
             if j == 0:
                 raise PositivityError(_EPS_TOO_LARGE) from exc
@@ -648,7 +794,6 @@ def solve(cfg: SolverConfig):
 
     phi_tilde = ops.d(pot + eta).to_grid()      # phi + d eta
     phi_tilde.coeffs[:] += phi0().coeffs[_CONST]
-    eta = eta.to_grid()
     del pot
     # the full-grid Theta: independent of the orbit reduction of the steps
     res = _torsion_linf(phi_tilde)
@@ -656,6 +801,8 @@ def solve(cfg: SolverConfig):
     # the grid mean of each component is its constant Fourier mode
     zero_mode_gap = float(np.abs(
         phi_tilde.coeffs.mean(axis=_GRID_AXES) - phi0().coeffs).max())
+    del phi_tilde       # freed before eta's grid values are made
+    eta = eta.to_grid()
     contraction = [diffs[i + 1] / diffs[i]
                    for i in range(len(diffs) - 1) if diffs[i] > 0]
     report = {
@@ -663,7 +810,7 @@ def solve(cfg: SolverConfig):
         "residual": res,
         "distance_to_flat": dist,
         "zero_mode_gap": zero_mode_gap,
-        "invariance_defect": _invariance_defect(eta),
+        "invariance_defect": max(draw_defect, _invariance_defect(eta)),
         "contraction_factors": contraction,
         "step_sizes": diffs,
     }

@@ -262,6 +262,7 @@ CACHED_CALLS = {
     "torus._gamma_prime": [()],
     "torus._component_signs": [(2,), (4,)],
     "torus._orbit_tables": [(4,)],
+    "torus._mode_orbits": [(4,)],
     "torus.flat_t_matrix": [()],
     "torus.flat_p_matrix": [()],
 }

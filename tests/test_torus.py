@@ -4,6 +4,7 @@ Unit tests run at N = 4 to stay fast; the N = 6 run of the acceptance
 criterion lives in test_acceptance.py.
 """
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -53,19 +54,29 @@ def test_spectral_round_trip():
     assert np.abs(spec - ref).max() < 1e-12 * np.abs(ref).max()
 
 
+def hermitian_gap(spec):
+    """How far a half spectrum is from that of the real grid values that
+    irfftn reads from it, relative to its size."""
+    axes = tuple(range(1, 8))
+    ref = np.fft.rfftn(np.fft.irfftn(spec, s=(N,) * 7, axes=axes),
+                       axes=axes)
+    return np.abs(spec - ref).max() / np.abs(ref).max()
+
+
 def test_hermitian_is_the_spectrum_of_the_grid_values():
-    # d breaks the conjugate symmetry of a real field's half spectrum at
-    # the Nyquist modes; _keep_hermitian_part restores what irfftn reads
+    # the odd symbol is 0 at index N/2, the mode -N/2 = N/2 mod N that is
+    # its own negative, so d and delta keep the conjugate symmetry of a
+    # real field's half spectrum, Nyquist planes included
     ops = T.derivative_ops(N)
-    df = ops.d(random_field(2, seed=3, mean_zero=False))
-    ref = np.fft.rfftn(np.fft.irfftn(df.spec, s=(N,) * 7,
-                                     axes=tuple(range(1, 8))),
-                       axes=tuple(range(1, 8)))
-    scale = np.abs(ref).max()
-    assert np.abs(df.spec - ref).max() > 1e-3 * scale      # not vacuous
-    kept = df.spec.copy()
-    T._keep_hermitian_part(kept, N)
-    assert np.abs(kept - ref).max() < 1e-12 * scale
+    f = random_field(2, seed=3, mean_zero=False)
+    assert np.abs(f.spec[..., N // 2]).max() > 1e-3 * np.abs(f.spec).max()
+    for out in (ops.d(f), ops.delta(f)):
+        assert hermitian_gap(out.spec) < 1e-12
+    # not vacuous: with the symbol m = -N/2 there, d breaks the symmetry
+    old = copy.copy(ops)
+    old.m = tuple(m.reshape(o.shape) for m, o in zip(
+        [np.fft.fftfreq(N) * N] * 6 + [np.fft.rfftfreq(N) * N], ops.m))
+    assert hermitian_gap(old.d(f).spec) > 1e-3
 
 
 def test_parseval():
@@ -123,10 +134,19 @@ def test_inv_laplacian_output_has_mean_zero():
     assert np.abs(grid_mean(out.to_grid())).max() < 1e-13
 
 
+def chi_at_orbits(pot, eta=None):
+    """chi = d(pot + eta) of spectra at the mode-orbit representatives,
+    as its values at the grid's orbit representatives: what a step
+    reads."""
+    field = pot if eta is None else pot + eta
+    return T._irfft(T._mode_orbits(N).ops.d(field).spec, N, 3)
+
+
 def test_iteration_preserves_mean_zero():
     cfg = T.SolverConfig(N=N, eps=5e-3, seed=11)
     _, _, sigma = T.make_model_problem(cfg)
-    eta = T.picard_step(cfg.eps * sigma, T.SpectralField.zero(2, N))
+    pot = cfg.eps * sigma
+    eta = T.picard_step(pot, chi_at_orbits(pot))
     assert np.abs(grid_mean(eta.to_grid())).max() < 1e-13
 
 
@@ -184,6 +204,22 @@ def test_orbit_count_is_the_burnside_count(n, orbits):
     assert np.array_equal(np.unique(images), np.arange(n ** 7))
 
 
+@pytest.mark.parametrize("n, orbits", [(4, 2376), (6, 23552)])
+def test_mode_orbit_count_is_the_burnside_count(n, orbits):
+    # Gamma' x conjugation acts on the modes by the 16 sign matrices
+    # c S_g; along an axis, k = c s k mod n has n solutions for c s = 1
+    # and two (0 and n/2) for c s = -1.  Each orbit meets the half
+    # spectrum, and its representative is a mode there
+    signs = T._gamma_prime()[0]
+    fixed = sum(int(np.prod(np.where(c * s == 1, n, 2)))
+                for s in signs for c in (1, -1))
+    assert fixed % 16 == 0 and fixed // 16 == orbits
+    modes = T._mode_orbits(n)
+    assert modes.reps.shape == (orbits,)
+    assert np.array_equal(np.unique(modes.src), np.arange(orbits))
+    assert np.array_equal(modes.src[modes.reps], np.arange(orbits))
+
+
 def test_theta_is_gamma_prime_equivariant():
     # Theta(g* phi) = g* Theta(phi) for each g in Gamma': 3-form component
     # signs in, 4-form component signs out, at random positive points
@@ -204,33 +240,100 @@ def full_grid_F(chi):
             - F.theta(F.Form(7, 3, F.phi0().coeffs[:, None] + c)).coeffs)
 
 
+def orbit_F(chi):
+    """_flat_split_F at the orbit representatives of chi's grid values,
+    written to the whole grid with the 4-form signs, (35, N^7)."""
+    reps = chi.coeffs.reshape(35, -1)[:, T._orbit_tables(N)[0]]
+    return T._orbit_grid(T._flat_split_F(reps), 4, N).reshape(35, -1)
+
+
 def test_orbit_reduced_F_matches_the_full_grid():
     # on the invariant chi of the model, F0 at one point per orbit,
     # scattered with signs, is F0 at every point to rounding: F0 is a
     # difference of terms of size 1, so its rounding is absolute
     cfg = T.SolverConfig(N=N, eps=0.1, seed=7)
-    chi = cfg.eps * T._model_sigma(cfg)[1]
+    chi = T.make_model_problem(cfg)[0] - T.constant(F.phi0(), N)
     assert T._invariance_defect(chi) <= 1e-14
     full = full_grid_F(chi)
-    got = T._flat_split_F(F.Form(7, 3, chi.coeffs.copy())).coeffs
     assert np.abs(full).max() > 1e-3
-    assert np.abs(got.reshape(35, -1) - full).max() <= 1e-14
+    assert np.abs(orbit_F(chi) - full).max() <= 1e-14
     # not vacuous: on a chi that Gamma' does not fix, the two differ
     rng = np.random.default_rng(3)
     chi = F.Form(7, 3, 0.01 * rng.normal(size=(35,) + (N,) * 7))
     full = full_grid_F(chi)
-    got = T._flat_split_F(F.Form(7, 3, chi.coeffs.copy())).coeffs
-    assert np.abs(got.reshape(35, -1) - full).max() > 1e-3 * \
-        np.abs(full).max()
+    assert np.abs(orbit_F(chi) - full).max() > 1e-3 * np.abs(full).max()
+
+
+def on_mode_orbits(field):
+    """A Gamma'-invariant field's half spectrum at the mode-orbit
+    representatives."""
+    reps = T._mode_orbits(N).reps
+    return T.SpectralField(field.degree,
+                           field.spec.reshape(len(field.spec), -1)[:, reps], N)
+
+
+def on_half_spectrum(field):
+    """The whole half spectrum of a field held at the mode-orbit
+    representatives, component by component."""
+    signs = T._component_signs(field.degree)
+    return np.stack([T._at_modes(comp, signs[:, i], N)
+                     for i, comp in enumerate(field.spec)])
+
+
+def invariant_draw(degree, seed):
+    """The half spectrum of a random Gamma'-invariant field with content
+    at every mode, Nyquist planes included."""
+    nc = len(F.index_list(7, degree))
+    raw = F.Form(7, degree, np.random.default_rng(seed).normal(
+        size=(nc,) + (N,) * 7))
+    T._gamma_average(raw)
+    return T.to_spectral(raw)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_reduced_operators_match_the_full_ones(degree):
+    # on an invariant spectrum, gather then scatter is the identity, and
+    # each operator on the mode-orbit representatives is the operator on
+    # the whole half spectrum, read at them; so are the transforms between
+    # the two sets of representatives
+    full_ops, ops = T.derivative_ops(N), T._mode_orbits(N).ops
+    x = invariant_draw(degree, seed=40 + degree)
+    red = on_mode_orbits(x)
+    assert red.spec.shape == (x.spec.shape[0], 2376)
+    scale = np.abs(x.spec).max()
+    assert np.abs(on_half_spectrum(red) - x.spec).max() <= 1e-14 * scale
+    cases = [("d", lambda o, f: o.d(f)), ("delta", lambda o, f: o.delta(f)),
+             ("inv_laplacian", lambda o, f: o.inv_laplacian(f)),
+             ("band_limit", lambda o, f: o.band_limit(f, 1))]
+    if degree == 2:
+        cases.append(("A+", T._apply_symbol_pinv))
+    for name, op in cases:
+        want, got = op(full_ops, x), op(ops, red)
+        err = np.abs(on_half_spectrum(got) - want.spec).max()
+        assert err <= 1e-13 * np.abs(want.spec).max(), name
+    grid = x.to_grid().coeffs.reshape(len(x.spec), -1)
+    pts = grid[:, T._orbit_tables(N)[0]]
+    assert np.abs(T._irfft(red.spec, N, degree) - pts).max() <= \
+        1e-14 * np.abs(pts).max()
+    assert np.abs(T._rfft(pts, N, degree) - red.spec).max() <= 1e-14 * scale
+    # not vacuous: a spectrum that Gamma' does not fix is not the scatter
+    # of its gather
+    y = random_field(degree, seed=5)
+    assert np.abs(on_half_spectrum(on_mode_orbits(y)) - y.spec).max() > \
+        0.1 * np.abs(y.spec).max()
 
 
 def test_model_is_gamma_prime_invariant():
     # the averaged draw makes sigma, d sigma and phi invariant; the draw
-    # itself is not
+    # itself is not.  sigma's spectrum, scattered from its representatives
+    # and transformed as a whole, is invariant on the grid
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
-    sigma, dsig = T._model_sigma(cfg)
-    assert T._invariance_defect(sigma.to_grid()) <= 1e-14
-    assert T._invariance_defect(dsig) <= 1e-14
+    phi, _, sigma = T.make_model_problem(cfg)
+    assert sigma.on_orbits
+    whole = T.SpectralField(2, on_half_spectrum(sigma), N)
+    assert T._invariance_defect(whole.to_grid()) <= 1e-14
+    assert T._invariance_defect(phi - T.constant(F.phi0(), N)) <= 1e-14
+    assert T._model_sigma(cfg)[2] <= 1e-15
     raw = F.Form(7, 2, np.random.default_rng(cfg.seed).normal(
         size=(21,) + (N,) * 7))
     assert T._invariance_defect(raw) > 0.5
@@ -239,18 +342,22 @@ def test_model_is_gamma_prime_invariant():
 
 
 def only_in_the_average(monkeypatch, name, mutated):
-    """Patch the torus helper `name` with `mutated` while _model_sigma runs
-    (the averaging is its one reader there), and nowhere else."""
-    model_sigma, original = T._model_sigma, getattr(T, name)
+    """Patch the torus helper `name` with `mutated` while _gamma_average
+    runs, and nowhere else.  The orbit tables the average reads are built
+    afresh from the patched helper, not taken from the cache."""
+    average, original = T._gamma_average, getattr(T, name)
+    tables = T._orbit_tables
 
-    def patched(cfg):
+    def patched(field):
         monkeypatch.setattr(T, name, mutated)
+        monkeypatch.setattr(T, "_orbit_tables", tables.__wrapped__)
         try:
-            return model_sigma(cfg)
+            return average(field)
         finally:
             monkeypatch.setattr(T, name, original)
+            monkeypatch.setattr(T, "_orbit_tables", tables)
 
-    monkeypatch.setattr(T, "_model_sigma", patched)
+    monkeypatch.setattr(T, "_gamma_average", patched)
 
 
 GAMMA_PRIME, COMPONENT_SIGNS = T._gamma_prime, T._component_signs
@@ -274,8 +381,10 @@ def one_component_sign_dropped(degree):
 def test_a_broken_average_fails_the_torus_checks(monkeypatch, name,
                                                  mutated):
     # the solve returns to phi0 from a model Gamma' does not fix (its
-    # fixed point does not depend on how well F is taken), so the
-    # invariance check is the one that sees a broken average
+    # fixed point does not depend on how well F is taken), and the steps
+    # read the draw only at the orbit representatives, so the invariance
+    # check, which measures the averaged draw on the grid, is the one that
+    # sees a broken average
     checks, _ = cli.suite_torus_solve(N, 1e-2, 7, 1e-8, 50)
     assert all(c["status"] != "fail" for c in checks)
     only_in_the_average(monkeypatch, name, mutated)
@@ -362,7 +471,8 @@ def symbol_matrix(m):
 
 
 def grid_modes():
-    """Every mode of the N^7 half-spectrum as rows of m, (n_modes, 7)."""
+    """The odd symbol m at every mode of the N^7 half-spectrum, as rows
+    (n_modes, 7)."""
     ops = T.derivative_ops(N)
     shape = np.broadcast_shapes(*[m.shape for m in ops.m])
     return np.stack([np.broadcast_to(m, shape).ravel() for m in ops.m],
@@ -381,7 +491,8 @@ def apply_A(spec):
 
 
 def apply_pinv(spec):
-    return T._apply_symbol_pinv(N, T.SpectralField(2, spec, N)).spec
+    return T._apply_symbol_pinv(T.derivative_ops(N),
+                                T.SpectralField(2, spec, N)).spec
 
 
 def random_spectrum(seed):
@@ -399,9 +510,12 @@ def test_pinv_matches_per_mode_pinv():
     ref = per_mode(A_pinv, x)
     assert np.abs(ref).max() > 1e-3 * scale           # not vacuous
     assert np.abs(apply_pinv(x) - ref).max() < 1e-12 * scale
-    # the symbol has rank 8 at every nonzero mode and vanishes at m = 0
+    # the symbol has rank 8 wherever the odd symbol is nonzero, and
+    # vanishes where it is 0: at the 2^7 modes whose every index is 0 or
+    # N/2
     ranks = np.linalg.matrix_rank(A, rtol=1e-10, hermitian=True)
     zero = np.all(modes == 0, axis=-1)
+    assert zero.sum() == 2 ** 7
     assert np.all(ranks[zero] == 0) and np.all(ranks[~zero] == 8)
 
 
@@ -473,7 +587,7 @@ class Allocated(Exception):
 
 
 def test_grid_refused_before_allocation(monkeypatch):
-    # derivative_ops is the first step of make_model_problem that
+    # _orbit_tables is the first step of make_model_problem that
     # allocates grid arrays; a refused grid must never reach it.  The
     # available memory lies between the N = 6 and N = 8 estimates
     avail = 2 * 2 ** 30
@@ -482,7 +596,7 @@ def test_grid_refused_before_allocation(monkeypatch):
 
     def reached(N):
         raise Allocated(N)
-    monkeypatch.setattr(T, "derivative_ops", reached)
+    monkeypatch.setattr(T, "_orbit_tables", reached)
     monkeypatch.setattr(T, "_mem_available", lambda: avail)
     with pytest.raises(T.GridTooLargeError, match="N = 8"):
         T.make_model_problem(T.SolverConfig(N=8))
@@ -579,7 +693,8 @@ def test_one_metric_elimination_per_iterate(monkeypatch):
 def test_zero_torsion_fixed_point():
     cfg = T.SolverConfig(N=N, eps=0.0, seed=10)
     _, _, sigma = T.make_model_problem(cfg)
-    eta1 = T.picard_step(cfg.eps * sigma, T.SpectralField.zero(2, N))
+    pot = cfg.eps * sigma
+    eta1 = T.picard_step(pot, chi_at_orbits(pot))
     assert linf(eta1.to_grid()) < 1e-12
 
 
@@ -590,8 +705,33 @@ def test_solve_converges_to_flat():
     assert report["residual"] <= 1e-8
     assert report["distance_to_flat"] <= 1e-8
     assert report["zero_mode_gap"] < 1e-15
-    assert report["invariance_defect"] <= 1e-12
+    assert report["invariance_defect"] <= 1e-15
     assert all(q < 1.0 for q in report["contraction_factors"])
+
+
+def test_every_iterate_is_invariant_and_its_F_is_the_full_grids(
+        monkeypatch):
+    # the step's F0, taken once per orbit, is F0 at every point only for
+    # an invariant chi = d(pot + eta): so at every iterate of a solve, chi
+    # taken to the grid through the whole half spectrum is invariant, and
+    # the reduced F0 is the full grid's
+    iterates = []
+    step = T.picard_step
+
+    def recorded(pot, chi):
+        eta = step(pot, chi)
+        iterates.append((pot, eta))
+        return eta
+
+    monkeypatch.setattr(T, "picard_step", recorded)
+    T.solve(T.SolverConfig(N=N, eps=1e-2, seed=7))
+    pot = iterates[0][0]
+    assert len(iterates) == 3
+    for eta in [0 * pot] + [eta for _, eta in iterates]:
+        chi = T.derivative_ops(N).d(T.SpectralField(
+            2, on_half_spectrum(pot + eta), N)).to_grid()
+        assert T._invariance_defect(chi) <= 1e-14
+        assert np.abs(orbit_F(chi) - full_grid_F(chi)).max() <= 1e-14
 
 
 def test_contraction_scales_with_eps():
@@ -636,21 +776,22 @@ def test_flat_split_step_transform_budget(monkeypatch):
     cfg = T.SolverConfig(N=N, eps=1e-2, seed=7)
     _, _, sigma = T.make_model_problem(cfg)
     pot = cfg.eps * sigma
-    eta = T.picard_step(pot, T.SpectralField.zero(2, N))
+    eta = T.picard_step(pot, chi_at_orbits(pot))
     counts = count_transforms(monkeypatch)
-    T.picard_step(pot, eta)
-    assert counts["forward"] > 0 and counts["inverse"] > 0
-    assert counts["forward"] + counts["inverse"] <= 112
+    T.picard_step(pot, chi_at_orbits(pot, eta))
+    assert counts == {"forward": 35, "inverse": 35}
 
 
 def test_solve_transform_budget(monkeypatch):
     # 1218 component transforms per N = 4 solve when every operator
     # result went back to the grid, 511 while the reported residual also
-    # took ||d phi~|| of the closed phi~
+    # took ||d phi~|| of the closed phi~, and 441 while the first step
+    # took its chi to the grid again after the model's scale had
     counts = count_transforms(monkeypatch)
     _, report = T.solve(T.SolverConfig(N=N, eps=1e-2, seed=7))
     assert report["residual"] <= 1e-8
-    assert counts["forward"] + counts["inverse"] <= 450
+    assert len(report["step_sizes"]) == 3
+    assert counts["forward"] + counts["inverse"] == 406
 
 
 # ----------------------------------------------------------------------
